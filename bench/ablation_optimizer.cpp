@@ -13,6 +13,7 @@
 
 #include "BenchUtil.h"
 
+#include "src/analysis/RegionDiscovery.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/Interpreter.h"
 #include "src/locus/LocusParser.h"
@@ -127,7 +128,7 @@ void runAblation() {
   Src.replace(Pos, 11, "loop=scop");
   auto Dgemm = bench::mustParse(Src);
   reportProgram("Fig. 13 (generic program, depth-3 nest)",
-                workloads::fig13GenericProgram(), *Dgemm, {});
+                analysis::genericLocusProgram("scop"), *Dgemm, {});
 
   // Fig. 5: constant propagation through OptSeqs and defs.
   auto Matmul = bench::mustParse(workloads::dgemmSource(24, 24, 24));
@@ -136,7 +137,7 @@ void runAblation() {
 }
 
 void BM_OptimizeFig13(benchmark::State &State) {
-  auto Prog = lang::parseLocusProgram(workloads::fig13GenericProgram());
+  auto Prog = lang::parseLocusProgram(analysis::genericLocusProgram("scop"));
   std::string Src = workloads::dgemmSource(16, 16, 16);
   size_t Pos = Src.find("loop=matmul");
   Src.replace(Pos, 11, "loop=scop");

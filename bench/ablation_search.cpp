@@ -59,7 +59,7 @@ void runAblation() {
       auto R = Orch.runSearch();
       if (R.ok()) {
         std::printf(" %14.0f", R->BestCycles);
-        Dups = R->Search.DuplicatesSkipped;
+        Dups = R->Search.DuplicateHits;
       } else {
         std::printf(" %14s", "err");
       }

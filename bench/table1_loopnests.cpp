@@ -21,6 +21,7 @@
 
 #include "BenchUtil.h"
 
+#include "src/analysis/RegionDiscovery.h"
 #include "src/baseline/Pluto.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
@@ -49,7 +50,7 @@ void runTable1() {
               Scale, Budget);
 
   std::vector<workloads::CorpusEntry> Corpus = workloads::loopCorpus(Scale, 3);
-  auto Prog = lang::parseLocusProgram(workloads::fig13GenericProgram());
+  auto Prog = lang::parseLocusProgram(analysis::genericLocusProgram("scop"));
   if (!Prog.ok())
     std::exit(1);
 
@@ -148,7 +149,7 @@ void runTable1() {
 
 void BM_Fig13SearchOneNest(benchmark::State &State) {
   std::vector<workloads::CorpusEntry> Corpus = workloads::loopCorpus(0.01, 3);
-  auto Prog = lang::parseLocusProgram(workloads::fig13GenericProgram());
+  auto Prog = lang::parseLocusProgram(analysis::genericLocusProgram("scop"));
   auto Baseline = cir::parseProgram(Corpus[0].Source);
   for (auto _ : State) {
     driver::OrchestratorOptions Opts;

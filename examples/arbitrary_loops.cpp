@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/RegionDiscovery.h"
 #include "src/cir/Parser.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
@@ -21,7 +22,7 @@ using namespace locus;
 int main(int argc, char **argv) {
   double Scale = argc > 1 ? std::atof(argv[1]) : 0.02;
   std::vector<workloads::CorpusEntry> Corpus = workloads::loopCorpus(Scale, 3);
-  auto Prog = lang::parseLocusProgram(workloads::fig13GenericProgram());
+  auto Prog = lang::parseLocusProgram(analysis::genericLocusProgram("scop"));
   if (!Prog.ok()) {
     std::fprintf(stderr, "locus parse error: %s\n", Prog.message().c_str());
     return 1;

@@ -1,111 +1,11 @@
 //===- locus_cli.cpp - Command-line driver for the Locus system ---------------===//
 //
-// The tool a downstream user runs, wrapping the full pipeline:
-//
-//   locus_cli PROGRAM.locus SOURCE.c [options]
-//
-//   --direct              run the direct workflow (program has no search
-//                         constructs, or every construct is pinned by --point)
-//   --point FILE          pin the search constructs from a serialized point
-//   --search NAME         search module: bandit (default), tpe, random,
-//                         hillclimb, de, exhaustive
-//   --budget N            variant assessments (default 100)
-//   --seed N              search seed (default 42)
-//   --jobs N              concurrent evaluation workers (default 1); results
-//                         commit in proposal order, so the trajectory and
-//                         best point match the serial run exactly
-//   --no-eval-cache       disable the content-addressed evaluation cache
-//                         (distinct points materializing to the same variant
-//                         are then re-simulated each time)
-//   --cache-dir DIR       persist the evaluation cache in DIR/evalcache.rlog
-//                         (CRC-framed record log, safe to share between
-//                         concurrent orchestrator processes); a later run
-//                         with the same directory starts warm
-//   --cache-readonly      consume a shared --cache-dir without appending to
-//                         it (for farms where one writer owns the store)
-//   --machine xeon|tiny   simulated machine (default xeon)
-//   --cores N             override the core count
-//   --emit-c FILE         write the best variant as compilable C
-//   --export-direct FILE  write the pinned direct Locus program (Section II)
-//   --export-point FILE   write the best point in serialized form
-//   --native              additionally time the best variant with the system
-//                         C compiler (the paper's buildcmd/runcmd path); the
-//                         compile and run happen in the subprocess sandbox
-//                         (argv exec, watchdog, rlimits, hermetic workdir)
-//                         and the native checksum is validated against the
-//                         simulator within --checksum-rtol
-//   --native-metric       measure every searched variant natively instead of
-//                         on the simulator (falls back to the simulator with
-//                         a warning when no compiler is available)
-//   --native-timeout SECS ceiling on each sandboxed native run (default 10);
-//                         the per-variant deadline derived from the baseline
-//                         native time never exceeds it
-//   --keep-workdirs       keep each native evaluation's mkdtemp directory
-//                         (sources, binary) instead of removing it
-//   --checksum-rtol X     relative tolerance for checksum validation, both
-//                         variant-vs-baseline and native-vs-simulator
-//                         (default 1e-6)
-//   --journal FILE        append every assessed variant to FILE (crash-safe
-//                         CRC-framed record log, fsynced per record; a torn
-//                         tail from a crash is recovered, other corruption
-//                         is a located error)
-//   --journal-sync MODE   durability per appended record: full (fsync, the
-//                         default), flush (kernel only), none (buffered)
-//   --resume              reload an existing --journal file and continue the
-//                         interrupted search where it left off
-//   --race-check          parallel-safety report: for every region loop,
-//                         print the race verdict for parallelizing it, the
-//                         private/firstprivate/shared/reduction variable
-//                         classification, and a located witness for every
-//                         proven race; advisory, always exits 0
-//   --trust-parallel      attach `omp parallel for` even to provably-racy
-//                         loops and model their speedup anyway (checksum
-//                         validation still guards the results)
-//   --lint                static diagnostics only: run the CIR verifier on
-//                         the source and warn about regions where dependence
-//                         analysis is unavailable but the optimization
-//                         program wants dependence-based transformations,
-//                         about provably-racy parallelizations, and about
-//                         subscripts range analysis cannot prove in bounds;
-//                         prints nothing and exits 0 when everything is clean
-//   --lint-strict         like --lint, but exit 1 when any warning or error
-//                         is reported (lint gates the build); also hardens
-//                         --bounds-check the same way
-//   --verify-each         run the CIR verifier after every applied
-//                         transformation (variants failing verification are
-//                         rejected as illegal)
-//   --no-static-prune     disable the static legality oracle (every point
-//                         reaches the evaluator)
-//
-// Source-only static bounds proofs (no Locus program needed):
-//
-//   locus_cli --bounds-check SOURCE.c [--lint-strict]
-//
-//   --bounds-check        run symbolic range analysis over every array
-//                         subscript and print the bounds report: proven
-//                         subscripts are counted, everything else gets a
-//                         located witness naming the access, its interval,
-//                         and the loop that drives it. Exit 0 unless
-//                         --lint-strict is also given, in which case any
-//                         violation or unproven subscript exits 1.
-//
-// Pragma-free sources run through region discovery instead:
-//
-//   locus_cli --discover SOURCE.c [options]
-//
-//   --discover            scan an unannotated source for candidate loop
-//                         nests and print the ranked report: per-candidate
-//                         verdict (selected / demoted / rejected), nest
-//                         depth, trip-count product, footprint, hotness,
-//                         and a located reason for every demotion and
-//                         rejection
-//   --discover-top N      with --tune, annotate and tune only the N
-//                         hottest annotatable candidates (default: all)
-//   --tune                end-to-end: inject `#pragma @Locus` regions for
-//                         the discovered candidates and tune each under
-//                         the generated Fig. 13 generic program; accepts
-//                         all search options above (--search, --budget,
-//                         --seed, --jobs, --journal, ...)
+// The tool a downstream user runs, wrapping the full pipeline: search (or
+// direct) runs of a Locus program over a C source, the tuning-service
+// coordinator and worker, pragma-free region discovery, source-only bounds
+// proofs, and journal/queue inspection. Every option is one row of the
+// Options table below; running the tool without arguments prints the usage
+// generated from it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -122,8 +22,10 @@
 #include "src/eval/NativeEvaluator.h"
 #include "src/locus/LocusParser.h"
 #include "src/locus/LocusPrinter.h"
+#include "src/search/PointCodec.h"
 #include "src/support/RecordLog.h"
 #include "src/support/Signals.h"
+#include "src/support/StringUtils.h"
 
 #include <algorithm>
 #include <cmath>
@@ -133,6 +35,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -156,29 +59,305 @@ bool writeFile(const std::string &Path, const std::string &Text) {
   return static_cast<bool>(Out);
 }
 
+/// Everything the command line sets; each option's setter writes here.
+struct CliConfig {
+  driver::OrchestratorOptions Opts;
+  bool Direct = false, Native = false, Lint = false, LintStrict = false;
+  bool RaceCheck = false, Tune = false, Serve = false, Worker = false;
+  int ServeWorkers = 1;
+  int DiscoverTop = 0; ///< 0 tunes every annotatable candidate
+  std::string PointPath, EmitC, ExportDirect, ExportPoint, QueueDir, WorkerId;
+};
+
+/// The invocation forms (bit set); every option names the ones accepting it.
+namespace mode {
+constexpr unsigned Search = 1, Serve = 2, Worker = 4, Discover = 8,
+                   Bounds = 16;
+/// Modes that run a search: options shaping one.
+constexpr unsigned Tuning = Search | Serve | Discover;
+/// Modes that build the evaluation objective, a spawned worker included.
+constexpr unsigned Objective = Tuning | Worker;
+} // namespace mode
+
+struct ModeInfo {
+  unsigned Bit;
+  char Letter;
+  const char *Name;
+  const char *Synopsis;
+};
+
+const ModeInfo AllModes[] = {
+    {mode::Search, 's', "search", "PROGRAM.locus SOURCE.c [options]"},
+    {mode::Serve, 'v', "--serve",
+     "PROGRAM.locus SOURCE.c --serve --queue-dir DIR [options]"},
+    {mode::Worker, 'w', "--worker",
+     "PROGRAM.locus SOURCE.c --worker --queue-dir DIR [options]"},
+    {mode::Discover, 'd', "--discover", "--discover SOURCE.c [options]"},
+    {mode::Bounds, 'b', "--bounds-check", "--bounds-check SOURCE.c [options]"},
+};
+
+/// Validates an option's value (nullptr for a flag) and stores it. Returns
+/// Accepted, or for a bad value what the option wants instead.
+using Setter = const char *(*)(CliConfig &, const char *);
+constexpr const char *Accepted = nullptr;
+
+struct CliOption {
+  const char *Name;
+  const char *Value; ///< value placeholder; nullptr for a flag
+  const char *Help;
+  unsigned Modes;
+  /// A --serve coordinator passes the option on to the workers it spawns,
+  /// so that they build the identical objective (machine model,
+  /// tolerances, cache).
+  bool Forward;
+  Setter Set;
+};
+
+/// Stores \p V in \p Out when it is an integer no smaller than \p Min.
+template <typename T> const char *setInt(T &Out, const char *V, T Min) {
+  T X;
+  if (!parseNumber(V, X) || X < Min)
+    return Min > 0 ? "a positive integer" : "a non-negative integer";
+  Out = X;
+  return Accepted;
+}
+
+/// Stores \p V in \p Out when it is a finite number above zero.
+const char *setPositive(double &Out, const char *V) {
+  double X;
+  if (!parseNumber(V, X) || !std::isfinite(X) || X <= 0)
+    return "a positive number";
+  Out = X;
+  return Accepted;
+}
+
+using Cfg = CliConfig;
+constexpr CliOption Options[] = {
+    {"--direct", nullptr,
+     "run the direct workflow (no search constructs, or all pinned)",
+     mode::Search, false,
+     [](Cfg &C, const char *) { C.Direct = true; return Accepted; }},
+    {"--point", "FILE",
+     "apply the point pinned in FILE (checked against the space; no search)",
+     mode::Search, false,
+     [](Cfg &C, const char *V) { C.PointPath = V; return Accepted; }},
+    {"--search", "NAME",
+     "search module: bandit (default), tpe, random, hillclimb, de, exhaustive",
+     mode::Tuning, false,
+     [](Cfg &C, const char *V) -> const char * {
+       if (!search::makeSearcher(V))
+         return "a known search module";
+       C.Opts.SearcherName = V;
+       return Accepted;
+     }},
+    {"--budget", "N", "variant assessments (default 100)", mode::Tuning, false,
+     [](Cfg &C, const char *V) { return setInt(C.Opts.MaxEvaluations, V, 0); }},
+    {"--seed", "N", "search seed (default 42)", mode::Tuning, false,
+     [](Cfg &C, const char *V) { return setInt(C.Opts.Seed, V, uint64_t{0}); }},
+    {"--jobs", "N",
+     "concurrent evaluation workers (default 1; same trajectory as serial)",
+     mode::Tuning, false,
+     [](Cfg &C, const char *V) { return setInt(C.Opts.Jobs, V, 1); }},
+    {"--no-eval-cache", nullptr,
+     "re-simulate points that materialize to an already-seen variant",
+     mode::Objective, true,
+     [](Cfg &C, const char *) {
+       C.Opts.UseEvalCache = false;
+       return Accepted;
+     }},
+    {"--cache-dir", "DIR",
+     "persist the evaluation cache in DIR/evalcache.rlog (shareable)",
+     mode::Objective, true,
+     [](Cfg &C, const char *V) { C.Opts.CacheDir = V; return Accepted; }},
+    {"--cache-readonly", nullptr,
+     "read a shared --cache-dir without appending to it", mode::Objective,
+     true,
+     [](Cfg &C, const char *) {
+       C.Opts.CacheReadOnly = true;
+       return Accepted;
+     }},
+    {"--machine", "xeon|tiny", "simulated machine (default xeon)",
+     mode::Objective, true,
+     [](Cfg &C, const char *V) -> const char * {
+       if (std::strcmp(V, "xeon") == 0)
+         C.Opts.Eval.Machine = machine::MachineConfig::xeonE5v3();
+       else if (std::strcmp(V, "tiny") == 0)
+         C.Opts.Eval.Machine = machine::MachineConfig::tiny();
+       else
+         return "xeon or tiny";
+       return Accepted;
+     }},
+    {"--cores", "N", "override the machine's core count", mode::Objective,
+     true,
+     [](Cfg &C, const char *V) {
+       return setInt(C.Opts.Eval.Machine.Cores, V, 1);
+     }},
+    {"--emit-c", "FILE", "write the best variant as compilable C",
+     mode::Search | mode::Serve, false,
+     [](Cfg &C, const char *V) { C.EmitC = V; return Accepted; }},
+    {"--export-direct", "FILE",
+     "write the best point as a direct Locus program (Section II)",
+     mode::Search | mode::Serve, false,
+     [](Cfg &C, const char *V) { C.ExportDirect = V; return Accepted; }},
+    {"--export-point", "FILE", "write the best point in serialized form",
+     mode::Search | mode::Serve, false,
+     [](Cfg &C, const char *V) { C.ExportPoint = V; return Accepted; }},
+    {"--native", nullptr,
+     "also compile and time the best variant in the sandbox; its checksum "
+     "must match the simulator's",
+     mode::Search | mode::Serve, false,
+     [](Cfg &C, const char *) { C.Native = true; return Accepted; }},
+    {"--native-metric", nullptr,
+     "measure every variant natively (the simulator without a compiler)",
+     mode::Objective, true,
+     [](Cfg &C, const char *) { C.Opts.NativeMetric = true; return Accepted; }},
+    {"--native-timeout", "SECS",
+     "ceiling on each sandboxed native run (default 10)", mode::Objective,
+     true,
+     [](Cfg &C, const char *V) {
+       return setPositive(C.Opts.Native.RunTimeoutSeconds, V);
+     }},
+    {"--keep-workdirs", nullptr,
+     "keep each native evaluation's work directory", mode::Objective, true,
+     [](Cfg &C, const char *) {
+       C.Opts.Native.KeepWorkDir = true;
+       return Accepted;
+     }},
+    {"--checksum-rtol", "X",
+     "relative tolerance of checksum validation (default 1e-6)",
+     mode::Objective, true,
+     [](Cfg &C, const char *V) { return setPositive(C.Opts.ChecksumRtol, V); }},
+    {"--journal", "FILE",
+     "append every assessed variant to FILE (crash-safe record log)",
+     mode::Tuning, false,
+     [](Cfg &C, const char *V) { C.Opts.JournalPath = V; return Accepted; }},
+    {"--journal-sync", "flush|full",
+     "per-record durability: full fsyncs (default), flush reaches the kernel",
+     mode::Tuning, false,
+     [](Cfg &C, const char *V) -> const char * {
+       bool Ok = false;
+       C.Opts.JournalSyncMode = search::parseJournalSync(V, Ok);
+       return Ok ? Accepted : "flush or full";
+     }},
+    {"--resume", nullptr,
+     "reload --journal and continue the interrupted search", mode::Tuning,
+     false,
+     [](Cfg &C, const char *) {
+       C.Opts.ResumeFromJournal = true;
+       return Accepted;
+     }},
+    {"--race-check", nullptr,
+     "print the parallel-safety report of every region loop; exit 0",
+     mode::Search, false,
+     [](Cfg &C, const char *) { C.RaceCheck = true; return Accepted; }},
+    {"--trust-parallel", nullptr,
+     "parallelize and model even provably racy loops", mode::Objective, true,
+     [](Cfg &C, const char *) {
+       C.Opts.TrustParallel = true;
+       return Accepted;
+     }},
+    {"--lint", nullptr,
+     "static diagnostics only (verifier, dependences, races, bounds); exit 0",
+     mode::Search, false,
+     [](Cfg &C, const char *) { C.Lint = true; return Accepted; }},
+    {"--lint-strict", nullptr,
+     "like --lint, but any finding exits 1 (also for --bounds-check)",
+     mode::Search | mode::Bounds, false,
+     [](Cfg &C, const char *) {
+       C.Lint = C.LintStrict = true;
+       return Accepted;
+     }},
+    {"--verify-each", nullptr,
+     "run the CIR verifier after every applied transformation",
+     mode::Objective, true,
+     [](Cfg &C, const char *) { C.Opts.VerifyEach = true; return Accepted; }},
+    {"--no-static-prune", nullptr,
+     "disable the static legality oracle (every point is evaluated)",
+     mode::Tuning, false,
+     [](Cfg &C, const char *) { C.Opts.StaticPrune = false; return Accepted; }},
+    {"--tune", nullptr,
+     "annotate the candidates and tune each under the generic program",
+     mode::Discover, false,
+     [](Cfg &C, const char *) { C.Tune = true; return Accepted; }},
+    {"--discover-top", "N",
+     "with --tune, tune only the N hottest candidates (default all)",
+     mode::Discover, false,
+     [](Cfg &C, const char *V) { return setInt(C.DiscoverTop, V, 1); }},
+    {"--serve", nullptr,
+     "dispatch evaluations to worker processes through a durable queue",
+     mode::Serve, false,
+     [](Cfg &C, const char *) { C.Serve = true; return Accepted; }},
+    {"--worker", nullptr, "evaluate the tasks of a --serve queue",
+     mode::Worker, false,
+     [](Cfg &C, const char *) { C.Worker = true; return Accepted; }},
+    {"--queue-dir", "DIR", "the tuning service's queue directory",
+     mode::Serve | mode::Worker, false,
+     [](Cfg &C, const char *V) { C.QueueDir = V; return Accepted; }},
+    {"--workers", "N",
+     "worker processes to spawn (default 1; 0 for an external fleet)",
+     mode::Serve, false,
+     [](Cfg &C, const char *V) { return setInt(C.ServeWorkers, V, 0); }},
+    {"--lease-timeout", "SECS",
+     "seconds until an unanswered task lease expires", mode::Serve, false,
+     [](Cfg &C, const char *V) {
+       return setPositive(C.Opts.Serve.LeaseTimeoutSeconds, V);
+     }},
+    {"--worker-id", "ID", "this worker's name in the queue (default pidN)",
+     mode::Worker, false,
+     [](Cfg &C, const char *V) { C.WorkerId = V; return Accepted; }},
+};
+
+constexpr bool workersAcceptForwardedOptions() {
+  for (const CliOption &O : Options)
+    if (O.Forward && !(O.Modes & mode::Worker))
+      return false;
+  return true;
+}
+static_assert(workersAcceptForwardedOptions(),
+              "a worker must accept every option --serve forwards to it");
+
+const CliOption *findOption(std::string_view Name) {
+  for (const CliOption &O : Options)
+    if (Name == O.Name)
+      return &O;
+  return nullptr;
+}
+
+std::string modeNames(unsigned Bits) {
+  std::string Out;
+  for (const ModeInfo &M : AllModes)
+    if (Bits & M.Bit)
+      Out += (Out.empty() ? "" : ", ") + std::string(M.Name);
+  return Out;
+}
+
 int usage(const char *Argv0) {
-  std::fprintf(stderr,
-               "usage: %s PROGRAM.locus SOURCE.c [--direct] [--point FILE]\n"
-               "       [--search NAME] [--budget N] [--seed N] [--jobs N]\n"
-               "       [--machine xeon|tiny] [--cores N]\n"
-               "       [--emit-c FILE] [--export-direct FILE]\n"
-               "       [--export-point FILE] [--native] [--native-metric]\n"
-               "       [--native-timeout SECS] [--keep-workdirs]\n"
-               "       [--checksum-rtol X]\n"
-               "       [--journal FILE] [--journal-sync none|flush|full]\n"
-               "       [--resume] [--no-eval-cache]\n"
-               "       [--cache-dir DIR] [--cache-readonly]\n"
-               "       [--lint] [--lint-strict] [--race-check]\n"
-               "       [--trust-parallel]\n"
-               "       [--verify-each] [--no-static-prune]\n"
-               "       [--serve --queue-dir DIR [--workers N]\n"
-               "        [--lease-timeout SECS]]\n"
-               "       [--worker --queue-dir DIR [--worker-id ID]]\n"
-               "   or: %s --bounds-check SOURCE.c [--lint-strict]\n"
-               "   or: %s --discover SOURCE.c [--discover-top N] [--tune]\n"
-               "       [search options]\n"
-               "   or: %s --journal-dump FILE | --queue-dump DIR-or-FILE\n",
-               Argv0, Argv0, Argv0, Argv0);
+  std::fprintf(stderr, "usage:\n");
+  for (const ModeInfo &M : AllModes)
+    std::fprintf(stderr, "  %s %s\n", Argv0, M.Synopsis);
+  std::fprintf(stderr, "  %s --journal-dump FILE | --queue-dump DIR-or-FILE\n",
+               Argv0);
+  std::fprintf(stderr, "\noptions; letters name the modes accepting each (");
+  for (const ModeInfo &M : AllModes)
+    std::fprintf(stderr, "%s%c %s", M.Bit == mode::Search ? "" : ", ",
+                 M.Letter, M.Name);
+  std::fprintf(stderr, "),\n* marks those --serve passes on to its workers:\n");
+  for (const CliOption &O : Options) {
+    std::string Head = std::string(O.Name) + (O.Value ? " " : "") +
+                       (O.Value ? O.Value : "");
+    std::string Letters;
+    for (const ModeInfo &M : AllModes)
+      Letters += O.Modes & M.Bit ? M.Letter : '-';
+    std::fprintf(stderr, "  %-25s %s%c %s\n", Head.c_str(), Letters.c_str(),
+                 O.Forward ? '*' : ' ', O.Help);
+  }
+  return 2;
+}
+
+/// A command-line error: one line naming the problem, exit code 2.
+int fail(const char *Argv0, const std::string &Message) {
+  std::fprintf(stderr, "%s: %s (run without arguments for usage)\n", Argv0,
+               Message.c_str());
   return 2;
 }
 
@@ -560,196 +739,49 @@ int main(int argc, char **argv) {
   std::string ProgramPath = Discover || BoundsCheck ? "" : argv[1];
   std::string SourcePath = argv[2];
 
-  bool Direct = false, Native = false, Lint = false, RaceCheck = false;
-  bool LintStrict = false;
-  bool Tune = false;
-  bool Serve = false, Worker = false;
-  int ServeWorkers = 1;
-  std::string QueueDir, WorkerId;
-  // Flags a spawned worker must replay to build the *identical* objective
-  // (machine model, tolerances, cache config); collected during parsing.
-  std::vector<std::string> ForwardArgs;
-  int DiscoverTop = 0;
-  std::string PointPath, EmitC, ExportDirect, ExportPoint;
-  driver::OrchestratorOptions Opts;
-  Opts.MaxEvaluations = 100;
+  CliConfig C;
   // The CLI is an interactive tool: snippet arguments may name files on
   // disk (the paper's scatter_DZG.txt workflow). Search-internal replay
   // still runs with the flag's effect confined to module invocations the
   // user asked for.
-  Opts.AllowSnippetFiles = true;
+  C.Opts.AllowSnippetFiles = true;
+  std::vector<const CliOption *> Given;
+  // What a spawned worker replays, in command-line order.
+  std::vector<std::string> ForwardArgs;
   for (int I = 3; I < argc; ++I) {
-    std::string Arg = argv[I];
-    const int ArgFirst = I;
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    if (Arg == "--direct") {
-      Direct = true;
-    } else if (Arg == "--tune") {
-      if (!Discover) {
-        std::fprintf(stderr, "--tune is only valid with --discover\n");
-        return usage(argv[0]);
-      }
-      Tune = true;
-    } else if (Arg == "--discover-top") {
-      if (!Discover) {
-        std::fprintf(stderr, "--discover-top is only valid with --discover\n");
-        return usage(argv[0]);
-      }
-      if (const char *V = Next()) {
-        DiscoverTop = std::atoi(V);
-        if (DiscoverTop < 1) {
-          std::fprintf(stderr, "--discover-top wants a positive count\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--native") {
-      Native = true;
-    } else if (Arg == "--native-metric") {
-      Opts.NativeMetric = true;
-    } else if (Arg == "--native-timeout") {
-      if (const char *V = Next()) {
-        Opts.Native.RunTimeoutSeconds = std::atof(V);
-        if (Opts.Native.RunTimeoutSeconds <= 0) {
-          std::fprintf(stderr, "--native-timeout wants a positive number of "
-                               "seconds\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--keep-workdirs") {
-      Opts.Native.KeepWorkDir = true;
-    } else if (Arg == "--checksum-rtol") {
-      if (const char *V = Next()) {
-        Opts.ChecksumRtol = std::atof(V);
-        if (Opts.ChecksumRtol <= 0) {
-          std::fprintf(stderr, "--checksum-rtol wants a positive tolerance\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--lint") {
-      Lint = true;
-    } else if (Arg == "--lint-strict") {
-      LintStrict = true;
-      Lint = true;
-    } else if (Arg == "--race-check") {
-      RaceCheck = true;
-    } else if (Arg == "--trust-parallel") {
-      Opts.TrustParallel = true;
-    } else if (Arg == "--verify-each") {
-      Opts.VerifyEach = true;
-    } else if (Arg == "--no-static-prune") {
-      Opts.StaticPrune = false;
-    } else if (Arg == "--point") {
-      if (const char *V = Next())
-        PointPath = V;
-    } else if (Arg == "--search") {
-      if (const char *V = Next())
-        Opts.SearcherName = V;
-    } else if (Arg == "--budget") {
-      if (const char *V = Next())
-        Opts.MaxEvaluations = std::atoi(V);
-    } else if (Arg == "--seed") {
-      if (const char *V = Next())
-        Opts.Seed = static_cast<uint64_t>(std::atoll(V));
-    } else if (Arg == "--jobs") {
-      if (const char *V = Next()) {
-        Opts.Jobs = std::atoi(V);
-        if (Opts.Jobs < 1) {
-          std::fprintf(stderr, "--jobs wants a positive worker count\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--no-eval-cache") {
-      Opts.UseEvalCache = false;
-    } else if (Arg == "--eval-cache") {
-      Opts.UseEvalCache = true;
-    } else if (Arg == "--cache-dir") {
-      if (const char *V = Next())
-        Opts.CacheDir = V;
-    } else if (Arg == "--cache-readonly") {
-      Opts.CacheReadOnly = true;
-    } else if (Arg == "--machine") {
-      const char *V = Next();
-      if (V && std::strcmp(V, "tiny") == 0)
-        Opts.Eval.Machine = machine::MachineConfig::tiny();
-      else
-        Opts.Eval.Machine = machine::MachineConfig::xeonE5v3();
-    } else if (Arg == "--cores") {
-      if (const char *V = Next())
-        Opts.Eval.Machine.Cores = std::atoi(V);
-    } else if (Arg == "--journal") {
-      if (const char *V = Next())
-        Opts.JournalPath = V;
-    } else if (Arg == "--journal-sync") {
-      if (const char *V = Next()) {
-        bool SyncOk = false;
-        Opts.JournalSyncMode = search::parseJournalSync(V, SyncOk);
-        if (!SyncOk) {
-          std::fprintf(stderr, "unknown --journal-sync mode: %s\n", V);
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--resume") {
-      Opts.ResumeFromJournal = true;
-    } else if (Arg == "--emit-c") {
-      if (const char *V = Next())
-        EmitC = V;
-    } else if (Arg == "--export-direct") {
-      if (const char *V = Next())
-        ExportDirect = V;
-    } else if (Arg == "--export-point") {
-      if (const char *V = Next())
-        ExportPoint = V;
-    } else if (Arg == "--serve") {
-      Serve = true;
-    } else if (Arg == "--worker") {
-      Worker = true;
-    } else if (Arg == "--workers") {
-      if (const char *V = Next()) {
-        ServeWorkers = std::atoi(V);
-        if (ServeWorkers < 0) {
-          std::fprintf(stderr, "--workers wants a non-negative count\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--queue-dir") {
-      if (const char *V = Next())
-        QueueDir = V;
-    } else if (Arg == "--worker-id") {
-      if (const char *V = Next())
-        WorkerId = V;
-    } else if (Arg == "--lease-timeout") {
-      if (const char *V = Next()) {
-        Opts.Serve.LeaseTimeoutSeconds = std::atof(V);
-        if (Opts.Serve.LeaseTimeoutSeconds <= 0) {
-          std::fprintf(stderr,
-                       "--lease-timeout wants a positive number of seconds\n");
-          return usage(argv[0]);
-        }
-      }
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      return usage(argv[0]);
+    const CliOption *O = findOption(argv[I]);
+    if (!O)
+      return fail(argv[0], std::string("unknown option ") + argv[I]);
+    const char *V = nullptr;
+    if (O->Value) {
+      if (I + 1 >= argc)
+        return fail(argv[0],
+                    std::string(O->Name) + " needs a value " + O->Value);
+      V = argv[++I];
     }
-    static const std::set<std::string> ForwardFlags = {
-        "--native-metric", "--native-timeout", "--keep-workdirs",
-        "--checksum-rtol", "--trust-parallel", "--verify-each",
-        "--no-eval-cache", "--eval-cache",     "--cache-dir",
-        "--cache-readonly", "--machine",       "--cores"};
-    if (ForwardFlags.count(Arg))
-      for (int J = ArgFirst; J <= I; ++J)
-        ForwardArgs.push_back(argv[J]);
+    if (const char *Want = O->Set(C, V))
+      return fail(argv[0], std::string(O->Name) + " wants " + Want +
+                               ", got '" + V + "'");
+    Given.push_back(O);
+    if (O->Forward) {
+      ForwardArgs.push_back(O->Name);
+      if (V)
+        ForwardArgs.push_back(V);
+    }
   }
-  if ((Serve || Worker) && QueueDir.empty()) {
-    std::fprintf(stderr, "%s requires --queue-dir\n",
-                 Serve ? "--serve" : "--worker");
-    return usage(argv[0]);
-  }
-  if (Serve && Worker) {
-    std::fprintf(stderr, "--serve and --worker are mutually exclusive\n");
-    return usage(argv[0]);
-  }
+  unsigned Mode = Discover      ? mode::Discover
+                  : BoundsCheck ? mode::Bounds
+                  : C.Serve     ? mode::Serve
+                  : C.Worker    ? mode::Worker
+                                : mode::Search;
+  for (const CliOption *O : Given)
+    if (!(O->Modes & Mode))
+      return fail(argv[0], std::string(O->Name) + " is not valid in " +
+                               modeNames(Mode) + " mode (only in " +
+                               modeNames(O->Modes) + ")");
+  if ((Mode == mode::Serve || Mode == mode::Worker) && C.QueueDir.empty())
+    return fail(argv[0], modeNames(Mode) + " requires --queue-dir");
+  driver::OrchestratorOptions &Opts = C.Opts;
 
   bool Ok = false;
   std::string CText = readFile(SourcePath, Ok);
@@ -765,9 +797,9 @@ int main(int argc, char **argv) {
   }
 
   if (BoundsCheck)
-    return runBoundsCheck(**Baseline, LintStrict);
+    return runBoundsCheck(**Baseline, C.LintStrict);
   if (Discover)
-    return runDiscover(**Baseline, Opts, DiscoverTop, Tune);
+    return runDiscover(**Baseline, Opts, C.DiscoverTop, C.Tune);
 
   std::string LocusText = readFile(ProgramPath, Ok);
   if (!Ok) {
@@ -781,10 +813,10 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  if (RaceCheck)
+  if (C.RaceCheck)
     return runRaceCheck(**Baseline);
-  if (Lint)
-    return runLint(**Prog, **Baseline, LintStrict);
+  if (C.Lint)
+    return runLint(**Prog, **Baseline, C.LintStrict);
 
   // Degrade gracefully on compiler-less hosts: native measurement is an
   // upgrade, not a requirement, so fall back to the simulator with a clear
@@ -804,9 +836,9 @@ int main(int argc, char **argv) {
   support::installShutdownFlag();
   Opts.StopFlag = support::shutdownFlag();
 
-  if (Serve) {
-    Opts.Serve.QueueDir = QueueDir;
-    Opts.Serve.Workers = ServeWorkers;
+  if (C.Serve) {
+    Opts.Serve.QueueDir = C.QueueDir;
+    Opts.Serve.Workers = C.ServeWorkers;
     // Workers re-exec this binary with the same program/source and the
     // eval-relevant flags, in worker mode against the same queue dir.
     char ExeBuf[4096];
@@ -814,18 +846,18 @@ int main(int argc, char **argv) {
     std::string Exe = N > 0 ? std::string(ExeBuf, static_cast<size_t>(N))
                             : std::string(argv[0]);
     std::vector<std::string> BaseArgv = {Exe, ProgramPath, SourcePath,
-                                         "--worker", "--queue-dir", QueueDir};
+                                         "--worker", "--queue-dir", C.QueueDir};
     BaseArgv.insert(BaseArgv.end(), ForwardArgs.begin(), ForwardArgs.end());
     Opts.Serve.WorkerArgv = [BaseArgv](int, int) { return BaseArgv; };
   }
 
   driver::Orchestrator Orch(**Prog, **Baseline, Opts);
 
-  if (Worker) {
+  if (C.Worker) {
     service::WorkerOptions WOpts;
-    WOpts.QueueDir = QueueDir;
+    WOpts.QueueDir = C.QueueDir;
     WOpts.WorkerId =
-        WorkerId.empty() ? "pid" + std::to_string(::getpid()) : WorkerId;
+        C.WorkerId.empty() ? "pid" + std::to_string(::getpid()) : C.WorkerId;
     WOpts.StopFlag = Opts.StopFlag;
     auto WR = Orch.runWorker(WOpts);
     if (!WR.ok()) {
@@ -842,26 +874,24 @@ int main(int argc, char **argv) {
   }
 
   std::unique_ptr<cir::Program> Best;
-  search::Point BestPoint;
-  double BestCycles = 0;
   double BestChecksum = std::numeric_limits<double>::quiet_NaN();
 
-  if (Direct || !PointPath.empty()) {
+  if (C.Direct || !C.PointPath.empty()) {
     Expected<driver::DirectResult> R = [&] {
-      if (PointPath.empty())
+      using Ret = Expected<driver::DirectResult>;
+      if (C.PointPath.empty())
         return Orch.runDirect();
-      std::string PointText = readFile(PointPath, Ok);
+      std::string PointText = readFile(C.PointPath, Ok);
       if (!Ok)
-        return Expected<driver::DirectResult>::error("cannot read " +
-                                                     PointPath);
-      // A point file needs the space to validate against.
-      auto Search = Orch.runSearch(); // extraction only matters; budget spent
-      (void)Search;
-      search::Space Dummy;
-      auto P = driver::deserializePoint(PointText, Dummy);
+        return Ret::error("cannot read " + C.PointPath);
+      // The point must pin every parameter of the extracted space. No
+      // search runs, so nothing is journaled.
+      Expected<search::Space> Space = Orch.extractSpace();
+      if (!Space.ok())
+        return Ret::error(Space.message());
+      auto P = search::deserializePoint(PointText, *Space);
       if (!P.ok())
-        return Expected<driver::DirectResult>::error(P.message());
-      BestPoint = *P;
+        return Ret::error(C.PointPath + ": " + P.message());
       return Orch.runPoint(*P);
     }();
     if (!R.ok()) {
@@ -874,7 +904,6 @@ int main(int argc, char **argv) {
     for (const std::string &Line : R->Exec.Log)
       std::printf("  %s\n", Line.c_str());
     Best = std::move(R->Variant);
-    BestCycles = R->Run.Cycles;
     BestChecksum = R->Run.Checksum;
   } else {
     auto R = Orch.runSearch();
@@ -888,7 +917,7 @@ int main(int argc, char **argv) {
     std::printf("%s", R->Space.describe().c_str());
     std::printf("assessed %d variants (%d invalid, %d duplicates",
                 R->Search.Evaluations, R->Search.InvalidPoints,
-                R->Search.DuplicatesSkipped);
+                R->Search.DuplicateHits);
     if (R->Search.ReplayedEvaluations > 0)
       std::printf(", %d replayed from journal", R->Search.ReplayedEvaluations);
     if (R->Search.PrunedStatic > 0) {
@@ -958,21 +987,21 @@ int main(int argc, char **argv) {
                   R->BaselineCycles, R->BestCycles, R->Speedup,
                   R->BaselineChosen ? " (baseline kept)" : "");
     Best = std::move(R->BestProgram);
-    BestPoint = R->Search.Best;
-    BestCycles = R->BestCycles;
+    const search::Point &BestPoint = R->Search.Best;
     if (R->BestRun.Ok)
       BestChecksum = R->BestRun.Checksum;
 
-    if (!ExportPoint.empty() && !R->BaselineChosen)
-      if (!writeFile(ExportPoint, driver::serializePoint(BestPoint)))
-        std::fprintf(stderr, "cannot write %s\n", ExportPoint.c_str());
-    if (!ExportDirect.empty() && !R->BaselineChosen) {
+    if (!C.ExportPoint.empty() && !R->BaselineChosen)
+      if (!writeFile(C.ExportPoint, search::serializePoint(BestPoint)))
+        std::fprintf(stderr, "cannot write %s\n", C.ExportPoint.c_str());
+    if (!C.ExportDirect.empty() && !R->BaselineChosen) {
       auto DirectProg = lang::exportDirectProgram(**Prog, BestPoint);
       if (DirectProg.ok()) {
-        if (!writeFile(ExportDirect, lang::printLocusProgram(**DirectProg)))
-          std::fprintf(stderr, "cannot write %s\n", ExportDirect.c_str());
+        if (!writeFile(C.ExportDirect, lang::printLocusProgram(**DirectProg)))
+          std::fprintf(stderr, "cannot write %s\n", C.ExportDirect.c_str());
         else
-          std::printf("direct program written to %s\n", ExportDirect.c_str());
+          std::printf("direct program written to %s\n",
+                      C.ExportDirect.c_str());
       } else {
         std::fprintf(stderr, "direct export failed: %s\n",
                      DirectProg.message().c_str());
@@ -980,14 +1009,13 @@ int main(int argc, char **argv) {
     }
   }
 
-  (void)BestCycles;
-  if (!EmitC.empty() && Best) {
-    if (!writeFile(EmitC, eval::emitNativeC(*Best)))
-      std::fprintf(stderr, "cannot write %s\n", EmitC.c_str());
+  if (!C.EmitC.empty() && Best) {
+    if (!writeFile(C.EmitC, eval::emitNativeC(*Best)))
+      std::fprintf(stderr, "cannot write %s\n", C.EmitC.c_str());
     else
-      std::printf("C source written to %s\n", EmitC.c_str());
+      std::printf("C source written to %s\n", C.EmitC.c_str());
   }
-  if (Native && Best) {
+  if (C.Native && Best) {
     eval::NativeResult NR = eval::evaluateNative(*Best, Opts.Native);
     if (NR.Ok) {
       std::printf("native run: %.6f s (checksum %.6f)\n", NR.Seconds,

@@ -58,7 +58,7 @@ int main(int argc, char **argv) {
 
   std::printf("space: %s", R->Space.describe().c_str());
   for (const auto &Rec : R->Search.History)
-    if (Rec.Valid)
+    if (Rec.Failure == search::FailureKind::None)
       std::printf("  skew=%-4lld -> %12.0f cycles\n",
                   (long long)std::get<int64_t>(Rec.P.Values.begin()->second),
                   Rec.Metric);

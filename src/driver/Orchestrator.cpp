@@ -22,6 +22,28 @@
 namespace locus {
 namespace driver {
 
+namespace {
+
+/// The context every interpretation of the optimization program runs under:
+/// program optimization, space extraction, oracle replay and variant
+/// materialization must agree on it, or a replayed classification could
+/// diverge from the concrete run. \p Materialize turns on the per-transform
+/// verifier (when configured) for runs that produce a concrete variant.
+transform::TransformContext
+makeTransformContext(const OrchestratorOptions &Opts, cir::Program &Prog,
+                     bool Materialize) {
+  transform::TransformContext TCtx;
+  TCtx.RequireDeps = Opts.RequireDeps;
+  TCtx.Prog = &Prog;
+  TCtx.Snippets = Opts.Snippets;
+  TCtx.VerifyEach = Materialize && Opts.VerifyEach;
+  TCtx.TrustParallel = Opts.TrustParallel;
+  TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+  return TCtx;
+}
+
+} // namespace
+
 Orchestrator::Orchestrator(const lang::LocusProgram &LProg,
                            const cir::Program &Baseline,
                            OrchestratorOptions Opts)
@@ -56,12 +78,8 @@ const lang::LocusProgram &Orchestrator::program() {
     return LProg;
   if (!OptimizedProg) {
     std::unique_ptr<cir::Program> Clone = Baseline.clone();
-    transform::TransformContext TCtx;
-    TCtx.RequireDeps = Opts.RequireDeps;
-    TCtx.Prog = Clone.get();
-    TCtx.Snippets = Opts.Snippets;
-    TCtx.TrustParallel = Opts.TrustParallel;
-    TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+    transform::TransformContext TCtx =
+        makeTransformContext(Opts, *Clone, /*Materialize=*/false);
     OptimizedProg =
         lang::optimizeLocusProgram(LProg, *Clone, Registry, TCtx, &OptStats);
   }
@@ -83,13 +101,8 @@ Expected<DirectResult> Orchestrator::runDirect() {
 Expected<DirectResult> Orchestrator::runPoint(const search::Point &Point) {
   DirectResult Result;
   Result.Variant = Baseline.clone();
-  transform::TransformContext TCtx;
-  TCtx.RequireDeps = Opts.RequireDeps;
-  TCtx.Prog = Result.Variant.get();
-  TCtx.Snippets = Opts.Snippets;
-  TCtx.VerifyEach = Opts.VerifyEach;
-  TCtx.TrustParallel = Opts.TrustParallel;
-  TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+  transform::TransformContext TCtx =
+      makeTransformContext(Opts, *Result.Variant, /*Materialize=*/true);
 
   lang::LocusInterpreter Interp(program(), Registry);
   Result.Exec = Interp.applyPoint(*Result.Variant, Point, TCtx);
@@ -132,13 +145,8 @@ public:
     using search::EvalOutcome;
     using search::FailureKind;
     std::unique_ptr<cir::Program> Variant = Baseline.clone();
-    transform::TransformContext TCtx;
-    TCtx.RequireDeps = Opts.RequireDeps;
-    TCtx.Prog = Variant.get();
-    TCtx.Snippets = Opts.Snippets;
-    TCtx.VerifyEach = Opts.VerifyEach;
-    TCtx.TrustParallel = Opts.TrustParallel;
-    TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+    transform::TransformContext TCtx =
+        makeTransformContext(Opts, *Variant, /*Materialize=*/true);
     lang::LocusInterpreter Interp(LProg, Registry);
     lang::ExecOutcome Exec = Interp.applyPoint(*Variant, P, TCtx);
     if (!Exec.Ok)
@@ -300,25 +308,32 @@ struct Orchestrator::PreparedSearch {
   std::unique_ptr<VariantObjective> Objective;
 };
 
+Expected<search::Space>
+Orchestrator::extractSpace(analysis::TransformPlan *Plan) {
+  std::unique_ptr<cir::Program> ExtractTarget = Baseline.clone();
+  transform::TransformContext TCtx =
+      makeTransformContext(Opts, *ExtractTarget, /*Materialize=*/false);
+  lang::LocusInterpreter Interp(program(), Registry);
+  search::Space Space;
+  lang::ExecOutcome Extract =
+      Interp.extractSpace(*ExtractTarget, Space, TCtx, Plan);
+  if (!Extract.Ok)
+    return Expected<search::Space>::error("space extraction failed: " +
+                                          Extract.Error);
+  return Space;
+}
+
 Expected<std::unique_ptr<Orchestrator::PreparedSearch>>
 Orchestrator::prepareSearch() {
   using Ret = Expected<std::unique_ptr<PreparedSearch>>;
   auto Prep = std::make_unique<PreparedSearch>();
 
   // Convert the optimization space (Section IV-B).
-  std::unique_ptr<cir::Program> ExtractTarget = Baseline.clone();
-  transform::TransformContext TCtx;
-  TCtx.RequireDeps = Opts.RequireDeps;
-  TCtx.Prog = ExtractTarget.get();
-  TCtx.Snippets = Opts.Snippets;
-  TCtx.TrustParallel = Opts.TrustParallel;
-  TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
-  lang::LocusInterpreter Interp(program(), Registry);
-  lang::ExecOutcome Extract =
-      Interp.extractSpace(*ExtractTarget, Prep->Space, TCtx,
-                          Opts.StaticPrune ? &Prep->Plan : nullptr);
-  if (!Extract.Ok)
-    return Ret::error("space extraction failed: " + Extract.Error);
+  Expected<search::Space> Space =
+      extractSpace(Opts.StaticPrune ? &Prep->Plan : nullptr);
+  if (!Space.ok())
+    return Ret::error(Space.message());
+  Prep->Space = std::move(*Space);
 
   // Baseline metric (also the non-prescriptive fallback). Some baselines
   // are skeletons that only become executable once the optimization program
@@ -475,15 +490,8 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
       if (!M)
         return transform::TransformResult::error("unknown module member " +
                                                  Module + "." + Member);
-      transform::TransformContext ReplayCtx;
-      ReplayCtx.RequireDeps = Opts.RequireDeps;
-      ReplayCtx.Prog = &Prog;
-      ReplayCtx.Snippets = Opts.Snippets;
-      // Must match the concrete-interpretation context exactly: a replayed
-      // classification that diverges from the concrete run would change the
-      // search trajectory.
-      ReplayCtx.TrustParallel = Opts.TrustParallel;
-      ReplayCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+      transform::TransformContext ReplayCtx =
+          makeTransformContext(Opts, Prog, /*Materialize=*/false);
       lang::ModuleArgs MArgs;
       for (const auto &[Key, Arg] : Args)
         MArgs[Key] = planArgToValue(Arg);
@@ -585,15 +593,6 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
       Opts.NativeMetric ? Result.Search.BestMetric : Best->Run.Cycles;
   Result.Speedup = Result.BaselineCycles / Result.BestCycles;
   return Result;
-}
-
-std::string serializePoint(const search::Point &P) {
-  return search::serializePoint(P);
-}
-
-Expected<search::Point> deserializePoint(const std::string &Text,
-                                         const search::Space &Space) {
-  return search::deserializePoint(Text, Space);
 }
 
 } // namespace driver

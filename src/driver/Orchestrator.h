@@ -36,6 +36,9 @@
 #include <string>
 
 namespace locus {
+namespace analysis {
+struct TransformPlan;
+} // namespace analysis
 namespace driver {
 
 struct OrchestratorOptions {
@@ -123,7 +126,7 @@ struct OrchestratorOptions {
   std::string JournalPath;
   /// Durability of each journal append (see search::JournalSync): Full
   /// fsyncs per record (machine-crash safe, the default), Flush reaches the
-  /// kernel only, None leaves records buffered.
+  /// kernel only.
   search::JournalSync JournalSyncMode = search::JournalSync::Full;
   /// When the journal file already exists, reload it and resume the
   /// interrupted search: journaled evaluations replay into the searcher's
@@ -194,6 +197,11 @@ public:
   /// Applies one pinned point (re-running an exported direct recipe).
   Expected<DirectResult> runPoint(const search::Point &Point);
 
+  /// Extracts the optimization space (Section IV-B) without evaluating
+  /// anything, e.g. to validate a point file before runPoint. \p Plan, when
+  /// non-null, receives the symbolic plan the legality oracle replays.
+  Expected<search::Space> extractSpace(analysis::TransformPlan *Plan = nullptr);
+
   /// Runs the worker side of the tuning service: builds the exact
   /// deterministic objective the in-process search would use (same space,
   /// baseline reference, deadline, and evaluation cache) and serves queue
@@ -229,14 +237,6 @@ private:
   std::unique_ptr<lang::LocusProgram> OptimizedProg;
   lang::OptimizeStats OptStats;
 };
-
-/// Serializes a point as "id=value" lines (the shippable pinned recipe).
-/// Forwards to search::serializePoint (src/search/PointCodec.h).
-std::string serializePoint(const search::Point &P);
-
-/// Parses a serialized point back; validated, never throws.
-Expected<search::Point> deserializePoint(const std::string &Text,
-                                         const search::Space &Space);
 
 } // namespace driver
 } // namespace locus

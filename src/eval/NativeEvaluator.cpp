@@ -8,7 +8,6 @@
 #include "src/support/Hashing.h"
 #include "src/support/StringUtils.h"
 
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -82,7 +81,9 @@ std::string emitNativeC(const Program &OrigP) {
   Out << "static long long locus_max(long long a, long long b) { return a > b ? a : b; }\n";
   Out << "#define min(a, b) locus_min(a, b)\n#define max(a, b) locus_max(a, b)\n\n";
 
-  // Globals, with the simulator's deterministic initialization.
+  // Globals, with the simulator's deterministic initialization. Every
+  // identifier the harness itself declares carries the locus_ prefix so it
+  // cannot shadow a program global (PolyBench bicg has globals s and p).
   std::ostringstream Init;
   for (const auto &G : P.Globals) {
     Out << "static " << (G->Elem == ElemType::Int ? "long long " : "double ")
@@ -95,14 +96,16 @@ std::string emitNativeC(const Program &OrigP) {
     Out << ";\n";
     if (G->isArray()) {
       const char *Elem = G->Elem == ElemType::Int ? "long long" : "double";
-      Init << "  { " << Elem << " *p = &" << G->Name;
+      Init << "  { " << Elem << " *locus_p = &" << G->Name;
       for (size_t I = 0; I < G->Dims.size(); ++I)
         Init << "[0]";
-      Init << "; for (long long i = 0; i < " << Total << "; i++) ";
+      Init << "; for (long long locus_i = 0; locus_i < " << Total
+           << "; locus_i++) ";
       if (G->Elem == ElemType::Double)
-        Init << "p[i] = (double)((i * 7 + 3) % 1021) / 1021.0; }\n";
+        Init << "locus_p[locus_i] = (double)((locus_i * 7 + 3) % 1021) / "
+                "1021.0; }\n";
       else
-        Init << "p[i] = i % 13; }\n";
+        Init << "locus_p[locus_i] = locus_i % 13; }\n";
     } else if (G->Init) {
       Init << "  " << G->Name << " = " << printExpr(*G->Init) << ";\n";
     } else if (G->Elem == ElemType::Double) {
@@ -133,7 +136,7 @@ std::string emitNativeC(const Program &OrigP) {
           Needed.insert(V->Name);
   });
 
-  Out << "\nstatic double locus_checksum(void) {\n  double s = 0;\n";
+  Out << "\nstatic double locus_checksum(void) {\n  double locus_s = 0;\n";
   for (const auto &G : P.Globals) {
     if (!G->isArray())
       continue;
@@ -141,20 +144,20 @@ std::string emitNativeC(const Program &OrigP) {
     for (int64_t D : G->Dims)
       Total *= D;
     const char *Elem = G->Elem == ElemType::Int ? "long long" : "double";
-    Out << "  { " << Elem << " *p = &" << G->Name;
+    Out << "  { " << Elem << " *locus_p = &" << G->Name;
     for (size_t I = 0; I < G->Dims.size(); ++I)
       Out << "[0]";
-    Out << "; for (long long i = 0; i < " << Total
-        << "; i++) s += (double)p[i]; }\n";
+    Out << "; for (long long locus_i = 0; locus_i < " << Total
+        << "; locus_i++) locus_s += (double)locus_p[locus_i]; }\n";
   }
-  Out << "  return s;\n}\n\n";
+  Out << "  return locus_s;\n}\n\n";
 
   Out << "int main(void) {\n";
   for (const std::string &Name : Needed)
     Out << "  long long " << Name << " = 0; (void)" << Name << ";\n";
   Out << Init.str();
-  Out << "  struct timespec t0, t1;\n";
-  Out << "  clock_gettime(CLOCK_MONOTONIC, &t0);\n";
+  Out << "  struct timespec locus_t0, locus_t1;\n";
+  Out << "  clock_gettime(CLOCK_MONOTONIC, &locus_t0);\n";
 
   // The program body, minus region markers, translating ICC pragmas. The
   // harness intrinsics (init_array etc.) become no-ops.
@@ -179,9 +182,11 @@ std::string emitNativeC(const Program &OrigP) {
     ReplaceAll(Body, Noop, Noop[0] == 'r' ? "0.0" : ";");
   Out << Body;
 
-  Out << "  clock_gettime(CLOCK_MONOTONIC, &t1);\n";
-  Out << "  double secs = (t1.tv_sec - t0.tv_sec) + 1e-9 * (t1.tv_nsec - t0.tv_nsec);\n";
-  Out << "  printf(\"LOCUS_TIME %.9f\\nLOCUS_CHECKSUM %.9f\\n\", secs, locus_checksum());\n";
+  Out << "  clock_gettime(CLOCK_MONOTONIC, &locus_t1);\n";
+  Out << "  double locus_secs = (locus_t1.tv_sec - locus_t0.tv_sec) + "
+         "1e-9 * (locus_t1.tv_nsec - locus_t0.tv_nsec);\n";
+  Out << "  printf(\"LOCUS_TIME %.9f\\nLOCUS_CHECKSUM %.9f\\n\", locus_secs, "
+         "locus_checksum());\n";
   Out << "  return 0;\n}\n";
   return Out.str();
 }
@@ -207,17 +212,6 @@ std::string summarizeStderr(const std::string &Err) {
   return std::string(Text.substr(0, 512)) + " ...";
 }
 
-/// Strict full-token double parse via std::from_chars.
-bool parseDoubleToken(std::string_view Token, double &Out) {
-  Token = trimString(Token);
-  if (Token.empty())
-    return false;
-  const char *First = Token.data();
-  const char *Last = Token.data() + Token.size();
-  auto [Ptr, Ec] = std::from_chars(First, Last, Out);
-  return Ec == std::errc() && Ptr == Last;
-}
-
 } // namespace
 
 Status parseNativeOutput(std::string_view Output, double &Seconds,
@@ -232,14 +226,14 @@ Status parseNativeOutput(std::string_view Output, double &Seconds,
     if (startsWith(Line, TimeTag)) {
       if (HaveTime)
         return Status::error("duplicate LOCUS_TIME line");
-      if (!parseDoubleToken(Line.substr(TimeTag.size()), Seconds))
+      if (!parseNumber(trimString(Line.substr(TimeTag.size())), Seconds))
         return Status::error("unparseable LOCUS_TIME value: '" +
                              std::string(Line) + "'");
       HaveTime = true;
     } else if (startsWith(Line, SumTag)) {
       if (HaveSum)
         return Status::error("duplicate LOCUS_CHECKSUM line");
-      if (!parseDoubleToken(Line.substr(SumTag.size()), Checksum))
+      if (!parseNumber(trimString(Line.substr(SumTag.size())), Checksum))
         return Status::error("unparseable LOCUS_CHECKSUM value: '" +
                              std::string(Line) + "'");
       HaveSum = true;

@@ -4,10 +4,10 @@
 
 #include "src/search/PointCodec.h"
 #include "src/support/Hashing.h"
+#include "src/support/StringUtils.h"
 
 #include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -94,9 +94,7 @@ bool parseJsonString(std::string_view Text, size_t &Pos, std::string &Out) {
         if (Pos + 4 > Text.size())
           return false;
         unsigned Code = 0;
-        auto R = std::from_chars(Text.data() + Pos, Text.data() + Pos + 4,
-                                 Code, 16);
-        if (R.ec != std::errc() || R.ptr != Text.data() + Pos + 4)
+        if (!parseNumber(Text.substr(Pos, 4), Code, 16))
           return false;
         Pos += 4;
         // Journal strings only escape control bytes this way.
@@ -135,10 +133,7 @@ bool parseJsonNumber(std::string_view Text, size_t &Pos, double &Out) {
           Text[End] == '-' || Text[End] == '+' || Text[End] == '.' ||
           Text[End] == 'e' || Text[End] == 'E'))
     ++End;
-  if (End == Pos)
-    return false;
-  auto R = std::from_chars(Text.data() + Pos, Text.data() + End, Out);
-  if (R.ec != std::errc() || R.ptr != Text.data() + End)
+  if (!parseNumber(Text.substr(Pos, End - Pos), Out))
     return false;
   Pos = End;
   return true;
@@ -248,8 +243,6 @@ std::string headerMismatchError(const std::string &Path,
 
 JournalSync parseJournalSync(std::string_view Name, bool &Ok) {
   Ok = true;
-  if (Name == "none")
-    return JournalSync::None;
   if (Name == "flush")
     return JournalSync::Flush;
   if (Name == "full")
@@ -287,10 +280,7 @@ bool SearchJournal::parseHeader(std::string_view Text, JournalHeader &H) {
     std::string_view Line = TakeLine();
     if (Line.substr(0, Name.size()) != Name)
       return false;
-    std::string_view Hex = Line.substr(Name.size());
-    auto [Ptr, Ec] = std::from_chars(Hex.data(), Hex.data() + Hex.size(), Out,
-                                     16);
-    return Ec == std::errc() && Ptr == Hex.data() + Hex.size();
+    return parseNumber(Line.substr(Name.size()), Out, 16);
   };
   return ParseField("space=", H.SpaceFingerprint) &&
          ParseField("config=", H.ConfigDigest);
@@ -433,8 +423,9 @@ Expected<EvalRecord> SearchJournal::decodeLine(const std::string &Line,
   EvalRecord R;
   R.P = std::move(*P);
   R.Failure = Kind;
-  R.Valid = Kind == FailureKind::None;
-  R.Metric = R.Valid ? Metric : std::numeric_limits<double>::infinity();
+  R.Metric = Kind == FailureKind::None
+                 ? Metric
+                 : std::numeric_limits<double>::infinity();
   R.Detail = std::move(Detail);
   return R;
 }

@@ -45,17 +45,16 @@ namespace locus {
 namespace search {
 
 /// How far append() pushes each record toward stable storage before
-/// returning. Appends are unbuffered fd writes, so None and Flush both
-/// reach the kernel per record (process-crash safe); Full additionally
-/// fsyncs per record and survives a machine crash (power loss, panic).
+/// returning. Appends are unbuffered fd writes, so every record reaches the
+/// kernel (process-crash safe); Full additionally fsyncs per record and
+/// survives a machine crash (power loss, panic).
 enum class JournalSync : uint8_t {
-  None,  ///< kernel-buffered writes (process-crash safe)
-  Flush, ///< same as None in the fd-backed v2 format (kept for the CLI)
+  Flush, ///< kernel-buffered writes (process-crash safe)
   Full,  ///< fsync per record (machine-crash safe; the default)
 };
 
-/// Parses a sync-mode name ("none", "flush", "full"); sets Ok=false (and
-/// returns Full) on unknown names.
+/// Parses a sync-mode name ("flush", "full"); sets Ok=false (and returns
+/// Full) on unknown names.
 JournalSync parseJournalSync(std::string_view Name, bool &Ok);
 
 /// Identity of the run a journal belongs to, stored in the v2 header.

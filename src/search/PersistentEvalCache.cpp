@@ -2,7 +2,8 @@
 
 #include "src/search/PersistentEvalCache.h"
 
-#include <charconv>
+#include "src/support/StringUtils.h"
+
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -64,13 +65,6 @@ bool unescape(std::string_view S, std::string &Out) {
   return true;
 }
 
-bool parseHexU64(std::string_view S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  auto [Ptr, Ec] = std::from_chars(S.data(), S.data() + S.size(), Out, 16);
-  return Ec == std::errc() && Ptr == S.data() + S.size();
-}
-
 std::vector<std::string_view> splitTabs(std::string_view S) {
   std::vector<std::string_view> Fields;
   size_t Pos = 0;
@@ -119,19 +113,15 @@ bool PersistentEvalCache::decodeEntry(const std::string &Record, CacheKey &Key,
   std::vector<std::string_view> F = splitTabs(Record);
   if (F.size() != 6)
     return false;
-  if (!parseHexU64(F[0], Key.Lo) || !parseHexU64(F[1], Key.Hi))
+  if (!parseNumber(F[0], Key.Lo, 16) || !parseNumber(F[1], Key.Hi, 16))
     return false;
   bool KindOk = false;
   Outcome.Failure = parseFailureKind(std::string(F[2]), KindOk);
   if (!KindOk)
     return false;
   double Metric = 0;
-  {
-    auto [Ptr, Ec] = std::from_chars(F[3].data(), F[3].data() + F[3].size(),
-                                     Metric);
-    if (Ec != std::errc() || Ptr != F[3].data() + F[3].size())
-      return false;
-  }
+  if (!parseNumber(F[3], Metric))
+    return false;
   Outcome.Metric = Outcome.Failure == FailureKind::None
                        ? Metric
                        : std::numeric_limits<double>::infinity();

@@ -4,32 +4,10 @@
 
 #include "src/support/StringUtils.h"
 
-#include <charconv>
 #include <sstream>
 
 namespace locus {
 namespace search {
-
-namespace {
-
-/// Full-consumption integer parse; rejects empty and trailing garbage.
-bool parseInt64(std::string_view S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  const char *Begin = S.data(), *End = S.data() + S.size();
-  auto R = std::from_chars(Begin, End, Out);
-  return R.ec == std::errc() && R.ptr == End;
-}
-
-bool parseDouble(std::string_view S, double &Out) {
-  if (S.empty())
-    return false;
-  const char *Begin = S.data(), *End = S.data() + S.size();
-  auto R = std::from_chars(Begin, End, Out);
-  return R.ec == std::errc() && R.ptr == End;
-}
-
-} // namespace
 
 std::string serializePoint(const Point &P) {
   std::ostringstream Out;
@@ -68,12 +46,12 @@ Expected<Point> deserializePoint(const std::string &Text, const Space &Space) {
     std::string_view Body = Rest.substr(2);
     if (Tag == 'i') {
       int64_t I = 0;
-      if (!parseInt64(Body, I))
+      if (!parseNumber(Body, I))
         return Expected<Point>::error("malformed integer value: " + Line);
       P.Values[Id] = I;
     } else if (Tag == 'f') {
       double D = 0;
-      if (!parseDouble(Body, D))
+      if (!parseNumber(Body, D))
         return Expected<Point>::error("malformed float value: " + Line);
       P.Values[Id] = D;
     } else if (Tag == 's') {
@@ -84,7 +62,7 @@ Expected<Point> deserializePoint(const std::string &Text, const Space &Space) {
         if (Part.empty())
           continue;
         int64_t Entry = 0;
-        if (!parseInt64(Part, Entry))
+        if (!parseNumber(Part, Entry))
           return Expected<Point>::error("malformed permutation entry '" +
                                         Part + "': " + Line);
         Perm.push_back(static_cast<int>(Entry));

@@ -144,7 +144,6 @@ private:
 struct EvalRecord {
   Point P;
   double Metric = 0;
-  bool Valid = false; ///< convenience mirror of Failure == None
   FailureKind Failure = FailureKind::InvalidPoint;
   std::string Detail;
 };
@@ -198,15 +197,13 @@ struct SearchResult {
   int Evaluations = 0;         ///< distinct variants assessed (incl. replay)
   int ReplayedEvaluations = 0; ///< of those, satisfied from Replay
   int InvalidPoints = 0;       ///< points rejected as invalid (any kind)
-  int DuplicatesSkipped = 0;   ///< proposals identical to evaluated variants
   int PrunedStatic = 0;        ///< of InvalidPoints, proven by StaticFilter
                                ///< without invoking the objective
   int PrunedStaticByRange = 0; ///< of PrunedStatic, proven by symbolic
                                ///< dependent-range resolution (filled by the
                                ///< driver from the legality oracle)
   /// Duplicate proposals served a memoized outcome instead of being
-  /// re-assessed (the canonical counter; DuplicatesSkipped mirrors it for
-  /// backward compatibility). Variant-level dedup across *distinct* points
+  /// re-assessed. Variant-level dedup across *distinct* points
   /// is counted separately in CacheDedupSaves.
   int DuplicateHits = 0;
   /// Per-kind failure counts, indexed by FailureKind; the entries other

@@ -282,7 +282,6 @@ public:
       switch (S.K) {
       case Kind::Dup: {
         const auto &Memo = Seen.at(S.Key);
-        ++Result.DuplicatesSkipped;
         ++Result.DuplicateHits;
         Item.Metric = Memo.first;
         Item.Valid = Memo.second;
@@ -313,7 +312,6 @@ public:
         EvalRecord Rec;
         Rec.P = Batch[I];
         Rec.Metric = Item.Metric;
-        Rec.Valid = Item.Valid;
         Rec.Failure = S.Out.Failure;
         Rec.Detail = std::move(S.Out.Detail);
         Result.History.push_back(std::move(Rec));

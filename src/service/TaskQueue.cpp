@@ -2,10 +2,10 @@
 
 #include "src/service/TaskQueue.h"
 
-#include <cerrno>
+#include "src/support/StringUtils.h"
+
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -35,24 +35,6 @@ std::string formatMetric(const search::EvalOutcome &Out) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.17g", Out.ok() ? Out.Metric : 0.0);
   return Buf;
-}
-
-bool parseU64(const std::string &Tok, uint64_t &V) {
-  if (Tok.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  V = std::strtoull(Tok.c_str(), &End, 10);
-  return End && *End == '\0' && errno == 0;
-}
-
-bool parseHex64(const std::string &Tok, uint64_t &V) {
-  if (Tok.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  V = std::strtoull(Tok.c_str(), &End, 16);
-  return End && *End == '\0' && errno == 0;
 }
 
 std::vector<std::string> splitFields(const std::string &Line) {
@@ -163,7 +145,7 @@ Expected<QueueRecord> parseQueueRecord(const std::string &Payload) {
     if (Status S = WantFields(3); !S.ok())
       return E::error(S.message());
     R.K = QueueRecord::Kind::Task;
-    if (!parseU64(F[1], R.Id) || !parseHex64(F[2], R.Digest))
+    if (!parseNumber(F[1], R.Id) || !parseNumber(F[2], R.Digest, 16))
       return E::error("malformed task record fields");
     R.Body = std::move(Body);
     return R;
@@ -173,7 +155,7 @@ Expected<QueueRecord> parseQueueRecord(const std::string &Payload) {
       return E::error(S.message());
     R.K = Kind == "lease" ? QueueRecord::Kind::Lease
                           : QueueRecord::Kind::Heartbeat;
-    if (!parseU64(F[1], R.Id) || !parseU64(F[2], R.Epoch))
+    if (!parseNumber(F[1], R.Id) || !parseNumber(F[2], R.Epoch))
       return E::error("malformed " + Kind + " record fields");
     R.Worker = F[3];
     return R;
@@ -182,7 +164,7 @@ Expected<QueueRecord> parseQueueRecord(const std::string &Payload) {
     if (Status S = WantFields(3); !S.ok())
       return E::error(S.message());
     R.K = QueueRecord::Kind::Expire;
-    if (!parseU64(F[1], R.Id) || !parseU64(F[2], R.Epoch))
+    if (!parseNumber(F[1], R.Id) || !parseNumber(F[2], R.Epoch))
       return E::error("malformed expire record fields");
     return R;
   }
@@ -190,16 +172,15 @@ Expected<QueueRecord> parseQueueRecord(const std::string &Payload) {
     if (Status S = WantFields(6); !S.ok())
       return E::error(S.message());
     R.K = QueueRecord::Kind::Result;
-    if (!parseU64(F[1], R.Id) || !parseU64(F[2], R.Epoch))
+    if (!parseNumber(F[1], R.Id) || !parseNumber(F[2], R.Epoch))
       return E::error("malformed result record fields");
     R.Worker = F[3];
     bool KindOk = false;
     R.Out.Failure = search::parseFailureKind(F[4], KindOk);
     if (!KindOk)
       return E::error("unknown failure kind '" + F[4] + "' in result record");
-    char *End = nullptr;
-    double Metric = std::strtod(F[5].c_str(), &End);
-    if (!End || *End != '\0')
+    double Metric = 0;
+    if (!parseNumber(F[5], Metric))
       return E::error("malformed metric '" + F[5] + "' in result record");
     R.Out.Metric = R.Out.ok() ? Metric
                               : std::numeric_limits<double>::infinity();
@@ -211,7 +192,7 @@ Expected<QueueRecord> parseQueueRecord(const std::string &Payload) {
     if (Status S = WantFields(2); !S.ok())
       return E::error(S.message());
     R.K = QueueRecord::Kind::Quarantine;
-    if (!parseU64(F[1], R.Id))
+    if (!parseNumber(F[1], R.Id))
       return E::error("malformed quarantine record fields");
     R.Body = std::move(Body);
     return R;
@@ -346,10 +327,10 @@ Expected<QueueHeaderInfo> parseQueueHeader(const std::string &Header) {
   std::string SpaceLine = Header.substr(FirstNl + 1, SecondNl - FirstNl - 1);
   std::string ConfigLine = Header.substr(SecondNl + 1);
   if (SpaceLine.compare(0, 6, "space=") != 0 ||
-      !parseHex64(SpaceLine.substr(6), Info.SpaceFingerprint))
+      !parseNumber(SpaceLine.substr(6), Info.SpaceFingerprint, 16))
     return E::error("queue header has a malformed space fingerprint");
   if (ConfigLine.compare(0, 7, "config=") != 0 ||
-      !parseHex64(ConfigLine.substr(7), Info.ConfigDigest))
+      !parseNumber(ConfigLine.substr(7), Info.ConfigDigest, 16))
     return E::error("queue header has a malformed config digest");
   return Info;
 }

@@ -2,7 +2,6 @@
 
 #include "src/workloads/Workloads.h"
 
-#include "src/analysis/RegionDiscovery.h"
 
 #include "src/support/Rng.h"
 
@@ -10,6 +9,7 @@
 #include <cassert>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 namespace locus {
 namespace workloads {
@@ -900,12 +900,6 @@ std::vector<CorpusEntry> loopCorpus(double Scale, uint64_t Seed) {
   return Corpus;
 }
 
-std::string fig13GenericProgram() {
-  // The canonical text lives with the discovery subsystem so hand-annotated
-  // and auto-discovered regions tune under byte-identical programs.
-  return analysis::genericLocusProgram("scop");
-}
-
 const std::vector<std::string> &polybenchKernels() {
   static const std::vector<std::string> Names = {
       "gemver", "atax", "bicg", "mvt", "syrk", "gesummv", "trmm", "2mm"};
@@ -913,239 +907,19 @@ const std::vector<std::string> &polybenchKernels() {
 }
 
 std::string polybenchSource(const std::string &Name, int N) {
-  std::ostringstream Out;
-  Out << "#define N " << N << "\n";
-  if (Name == "gemver") {
-    Out << R"(
-double A[N][N];
-double u1[N];
-double v1[N];
-double u2[N];
-double v2[N];
-double w[N];
-double x[N];
-double y[N];
-double z[N];
-double alpha;
-double beta;
-
-int main()
-{
-  int i, j;
-  double t_start, t_end;
-  init_array();
-  t_start = rtclock();
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++)
-      A[i][j] = A[i][j] + u1[i] * v1[j] + u2[i] * v2[j];
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++)
-      x[i] = x[i] + beta * A[j][i] * y[j];
-  for (i = 0; i < N; i++)
-    x[i] = x[i] + z[i];
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++)
-      w[i] = w[i] + alpha * A[i][j] * x[j];
-  t_end = rtclock();
-  print_array();
-  return 0;
-}
-)";
-  } else if (Name == "atax") {
-    Out << R"(
-double A[N][N];
-double x[N];
-double y[N];
-double tmp[N];
-
-int main()
-{
-  int i, j;
-  double t_start, t_end;
-  init_array();
-  t_start = rtclock();
-  for (i = 0; i < N; i++)
-    y[i] = 0.0;
-  for (i = 0; i < N; i++) {
-    tmp[i] = 0.0;
-    for (j = 0; j < N; j++)
-      tmp[i] = tmp[i] + A[i][j] * x[j];
-    for (j = 0; j < N; j++)
-      y[j] = y[j] + A[i][j] * tmp[i];
-  }
-  t_end = rtclock();
-  print_array();
-  return 0;
-}
-)";
-  } else if (Name == "bicg") {
-    Out << R"(
-double A[N][N];
-double s[N];
-double q[N];
-double p[N];
-double r[N];
-
-int main()
-{
-  int i, j;
-  double t_start, t_end;
-  init_array();
-  t_start = rtclock();
-  for (i = 0; i < N; i++)
-    s[i] = 0.0;
-  for (i = 0; i < N; i++) {
-    q[i] = 0.0;
-    for (j = 0; j < N; j++) {
-      s[j] = s[j] + r[i] * A[i][j];
-      q[i] = q[i] + A[i][j] * p[j];
-    }
-  }
-  t_end = rtclock();
-  print_array();
-  return 0;
-}
-)";
-  } else if (Name == "mvt") {
-    Out << R"(
-double A[N][N];
-double x1[N];
-double x2[N];
-double y1[N];
-double y2[N];
-
-int main()
-{
-  int i, j;
-  double t_start, t_end;
-  init_array();
-  t_start = rtclock();
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++)
-      x1[i] = x1[i] + A[i][j] * y1[j];
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++)
-      x2[i] = x2[i] + A[j][i] * y2[j];
-  t_end = rtclock();
-  print_array();
-  return 0;
-}
-)";
-  } else if (Name == "syrk") {
-    Out << R"(
-double A[N][N];
-double C[N][N];
-double alpha;
-double beta;
-
-int main()
-{
-  int i, j, k;
-  double t_start, t_end;
-  init_array();
-  t_start = rtclock();
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++)
-      C[i][j] = C[i][j] * beta;
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++)
-      for (k = 0; k < N; k++)
-        C[i][j] = C[i][j] + alpha * A[i][k] * A[j][k];
-  t_end = rtclock();
-  print_array();
-  return 0;
-}
-)";
-  } else if (Name == "gesummv") {
-    Out << R"(
-double A[N][N];
-double B[N][N];
-double tmp[N];
-double x[N];
-double y[N];
-double alpha;
-double beta;
-
-int main()
-{
-  int i, j;
-  double t_start, t_end;
-  init_array();
-  t_start = rtclock();
-  for (i = 0; i < N; i++) {
-    tmp[i] = 0.0;
-    y[i] = 0.0;
-    for (j = 0; j < N; j++) {
-      tmp[i] = A[i][j] * x[j] + tmp[i];
-      y[i] = B[i][j] * x[j] + y[i];
-    }
-    y[i] = alpha * tmp[i] + beta * y[i];
-  }
-  t_end = rtclock();
-  print_array();
-  return 0;
-}
-)";
-  } else if (Name == "trmm") {
-    // Triangular bound: the inner loop runs k in [0, i-1], a dependent
-    // range only symbolic range analysis can prove within extents.
-    Out << R"(
-double A[N][N];
-double B[N][N];
-double alpha;
-
-int main()
-{
-  int i, j, k;
-  double t_start, t_end;
-  init_array();
-  t_start = rtclock();
-  for (i = 1; i < N; i++)
-    for (j = 0; j < N; j++)
-      for (k = 0; k < i; k++)
-        B[i][j] = B[i][j] + alpha * A[i][k] * B[j][k];
-  t_end = rtclock();
-  print_array();
-  return 0;
-}
-)";
-  } else if (Name == "2mm") {
-    Out << R"(
-double A[N][N];
-double B[N][N];
-double C[N][N];
-double D[N][N];
-double tmp[N][N];
-double alpha;
-double beta;
-
-int main()
-{
-  int i, j, k;
-  double t_start, t_end;
-  init_array();
-  t_start = rtclock();
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++) {
-      tmp[i][j] = 0.0;
-      for (k = 0; k < N; k++)
-        tmp[i][j] = tmp[i][j] + alpha * A[i][k] * B[k][j];
-    }
-  for (i = 0; i < N; i++)
-    for (j = 0; j < N; j++) {
-      D[i][j] = D[i][j] * beta;
-      for (k = 0; k < N; k++)
-        D[i][j] = D[i][j] + tmp[i][k] * C[k][j];
-    }
-  t_end = rtclock();
-  print_array();
-  return 0;
-}
-)";
-  } else {
-    assert(false && "unknown polybench kernel");
-  }
-  return Out.str();
+  // One {name, text-after-the-#define-line} entry per examples/polybench
+  // kernel, embedded at configure time (see src/CMakeLists.txt).
+  struct Embedded {
+    std::string_view Name, Body;
+  };
+  static constexpr Embedded Kernels[] = {
+#include "PolybenchKernels.inc"
+  };
+  for (const Embedded &K : Kernels)
+    if (K.Name == Name)
+      return "#define N " + std::to_string(N) + "\n" + std::string(K.Body);
+  assert(false && "unknown polybench kernel");
+  return "";
 }
 
 } // namespace workloads

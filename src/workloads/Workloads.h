@@ -124,9 +124,6 @@ const std::vector<std::pair<std::string, int>> &corpusSuites();
 /// per-suite nest counts (1.0 reproduces all 856; benches default lower).
 std::vector<CorpusEntry> loopCorpus(double Scale, uint64_t Seed);
 
-/// The Fig. 13 generic optimization program for arbitrary loop nests.
-std::string fig13GenericProgram();
-
 //===----------------------------------------------------------------------===//
 // Unannotated PolyBench-style kernels (region-discovery inputs)
 //===----------------------------------------------------------------------===//

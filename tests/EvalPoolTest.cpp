@@ -323,7 +323,6 @@ TEST(ParallelSearch, DuplicateProposalsServedFromMemo) {
   EXPECT_EQ(R.Evaluations, 2);
   EXPECT_EQ(Calls.load(), 2);
   EXPECT_GT(R.DuplicateHits, 0);
-  EXPECT_EQ(R.DuplicateHits, R.DuplicatesSkipped);
   EXPECT_TRUE(R.Found);
   EXPECT_DOUBLE_EQ(R.BestMetric, 0.0);
 }

@@ -1,5 +1,6 @@
 //===- LocusLangTest.cpp - Locus language and interpreter tests --------------===//
 
+#include "src/analysis/RegionDiscovery.h"
 #include "src/cir/Parser.h"
 #include "src/cir/PathIndex.h"
 #include "src/cir/Printer.h"
@@ -60,7 +61,7 @@ TEST(LocusParser, ParsesFig9Fig11Fig13) {
   for (const std::string &Kernel : workloads::kripkeKernels())
     EXPECT_NE(parseLocusOrDie(workloads::kripkeLocusFig11(Kernel)), nullptr)
         << Kernel;
-  EXPECT_NE(parseLocusOrDie(workloads::fig13GenericProgram()), nullptr);
+  EXPECT_NE(parseLocusOrDie(analysis::genericLocusProgram("scop")), nullptr);
 }
 
 TEST(LocusParser, RangeLexing) {
@@ -159,7 +160,7 @@ int main() {
     y[i] = y[i] + a * x[i];
 }
 )";
-  auto LP = parseLocusOrDie(workloads::fig13GenericProgram());
+  auto LP = parseLocusOrDie(analysis::genericLocusProgram("scop"));
   auto CP = parseCOrDie(Saxpy);
   ModuleRegistry Reg = ModuleRegistry::standard();
   LocusInterpreter Interp(*LP, Reg);
@@ -209,7 +210,7 @@ int main() {
     A[idx[i]] = A[idx[i]] + B[i];
 }
 )";
-  auto LP = parseLocusOrDie(workloads::fig13GenericProgram());
+  auto LP = parseLocusOrDie(analysis::genericLocusProgram("scop"));
   auto CP = parseCOrDie(Indirect);
   ModuleRegistry Reg = ModuleRegistry::standard();
   LocusInterpreter Interp(*LP, Reg);

@@ -1,5 +1,6 @@
 //===- LocusPrinterTest.cpp - printer and direct-program export tests ---------===//
 
+#include "src/analysis/RegionDiscovery.h"
 #include "src/cir/Parser.h"
 #include "src/cir/PathIndex.h"
 #include "src/locus/Interpreter.h"
@@ -26,7 +27,7 @@ TEST(LocusPrinter, RoundTripsPaperPrograms) {
        {workloads::dgemmLocusFig5(), workloads::dgemmLocusFig7(512),
         workloads::stencilLocusFig9(16, 128),
         workloads::kripkeLocusFig11("Scattering"),
-        workloads::fig13GenericProgram()}) {
+        analysis::genericLocusProgram("scop")}) {
     auto P1 = parseL(Src);
     ASSERT_NE(P1, nullptr);
     std::string Printed = printLocusProgram(*P1);

@@ -62,6 +62,53 @@ TEST(NativeEvaluator, MatchesSimulatorChecksum) {
               1e-6 * std::max(1.0, std::abs(Sim.Checksum)));
 }
 
+TEST(NativeEvaluator, EveryPolybenchKernelMatchesTheInterpreter) {
+  if (!eval::nativeCompilerAvailable("cc"))
+    GTEST_SKIP() << "no system C compiler";
+  for (const std::string &Kernel : workloads::polybenchKernels()) {
+    SCOPED_TRACE(Kernel);
+    auto P = cir::parseProgram(workloads::polybenchSource(Kernel, 16));
+    ASSERT_TRUE(P.ok()) << P.message();
+    eval::NativeResult Native = eval::evaluateNative(**P);
+    ASSERT_TRUE(Native.Ok) << Native.Error;
+    eval::EvalOptions SimOpts;
+    SimOpts.CountCost = false;
+    eval::RunResult Sim = eval::evaluateProgram(**P, SimOpts);
+    ASSERT_TRUE(Sim.Ok) << Sim.Error;
+    EXPECT_NEAR(Native.Checksum, Sim.Checksum,
+                1e-6 * std::max(1.0, std::abs(Sim.Checksum)));
+  }
+}
+
+TEST(NativeEvaluator, HarnessNamesDoNotShadowProgramGlobals) {
+  if (!eval::nativeCompilerAvailable("cc"))
+    GTEST_SKIP() << "no system C compiler";
+  // Globals named like the harness's own locals must keep their values.
+  auto P = cir::parseProgram(R"(
+double s[8];
+double p[8];
+double i;
+double t0;
+double t1;
+double secs;
+int main() {
+  int k;
+  for (k = 0; k < 8; k++)
+    s[k] = s[k] + p[k] * i + t0 - t1 + secs;
+  return 0;
+}
+)");
+  ASSERT_TRUE(P.ok()) << P.message();
+  eval::NativeResult Native = eval::evaluateNative(**P);
+  ASSERT_TRUE(Native.Ok) << Native.Error;
+  eval::EvalOptions SimOpts;
+  SimOpts.CountCost = false;
+  eval::RunResult Sim = eval::evaluateProgram(**P, SimOpts);
+  ASSERT_TRUE(Sim.Ok) << Sim.Error;
+  EXPECT_NEAR(Native.Checksum, Sim.Checksum,
+              1e-6 * std::max(1.0, std::abs(Sim.Checksum)));
+}
+
 TEST(NativeEvaluator, TransformedVariantMatchesBaselineNatively) {
   if (!eval::nativeCompilerAvailable("cc"))
     GTEST_SKIP() << "no system C compiler";

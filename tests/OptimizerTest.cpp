@@ -1,5 +1,6 @@
 //===- OptimizerTest.cpp - Locus-program optimizer tests (Section IV-C) -------===//
 
+#include "src/analysis/RegionDiscovery.h"
 #include "src/cir/Parser.h"
 #include "src/locus/Interpreter.h"
 #include "src/locus/LocusParser.h"
@@ -96,7 +97,7 @@ int main() {
     y[i] = y[i] + x[i];
 }
 )";
-  auto LP = parseL(workloads::fig13GenericProgram());
+  auto LP = parseL(analysis::genericLocusProgram("scop"));
   auto CP = parseC(Saxpy);
   Optimized O = optimize(*LP, *CP);
   EXPECT_GE(O.Stats.QueriesSubstituted, 2);
@@ -107,7 +108,7 @@ int main() {
 TEST(LocusOptimizer, PreservesSpaceAndSemantics) {
   // The optimized program must expose the same space and produce the same
   // variants as the raw one.
-  auto LP = parseL(workloads::fig13GenericProgram());
+  auto LP = parseL(analysis::genericLocusProgram("scop"));
   std::string Src = workloads::dgemmSource(12, 12, 12);
   size_t Pos = Src.find("loop=matmul");
   Src.replace(Pos, 11, "loop=scop");

@@ -14,6 +14,7 @@
 #include "src/cir/Parser.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -105,14 +106,14 @@ TEST_P(RangePrune, PrunesByRangeWithoutChangingAnything) {
   for (size_t I = 0; I < On.Search.History.size(); ++I) {
     EXPECT_EQ(On.Search.History[I].P.key(), Off.Search.History[I].P.key())
         << Searcher << " diverged at step " << I;
-    EXPECT_EQ(On.Search.History[I].Valid, Off.Search.History[I].Valid);
-    if (On.Search.History[I].Valid) {
+    EXPECT_EQ(On.Search.History[I].Failure, Off.Search.History[I].Failure);
+    if (On.Search.History[I].Failure == search::FailureKind::None) {
       EXPECT_DOUBLE_EQ(On.Search.History[I].Metric,
                        Off.Search.History[I].Metric);
     }
   }
-  EXPECT_EQ(driver::serializePoint(On.Search.Best),
-            driver::serializePoint(Off.Search.Best));
+  EXPECT_EQ(search::serializePoint(On.Search.Best),
+            search::serializePoint(Off.Search.Best));
   EXPECT_DOUBLE_EQ(On.Search.BestMetric, Off.Search.BestMetric);
 
   // Byte-identical journal: the pruned failure records carry the exact
@@ -139,7 +140,7 @@ TEST(RangePruneDetail, FailureWordingMatchesTheInterpreter) {
   ASSERT_GT(R.Search.PrunedStaticByRange, 0);
   int RangeDetails = 0;
   for (const auto &Rec : R.Search.History)
-    if (!Rec.Valid && Rec.Detail.find("violates range") != std::string::npos)
+    if (Rec.Failure != search::FailureKind::None && Rec.Detail.find("violates range") != std::string::npos)
       ++RangeDetails;
   // tile in {2,4,8} x tf in {2,4,8}: tf=4>2, tf=8>2, tf=8>4 violate.
   EXPECT_EQ(RangeDetails, 3);

@@ -17,6 +17,7 @@
 #include "src/cir/Printer.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <cstdio>
@@ -530,13 +531,13 @@ void expectIdenticalTrajectories(const TuneResult &Hand,
   for (size_t I = 0; I < H.History.size(); ++I) {
     EXPECT_EQ(H.History[I].P.key(), A.History[I].P.key())
         << Tag << ": trajectory diverged at step " << I;
-    EXPECT_EQ(H.History[I].Valid, A.History[I].Valid) << Tag;
     EXPECT_EQ(H.History[I].Failure, A.History[I].Failure) << Tag;
     EXPECT_EQ(H.History[I].Detail, A.History[I].Detail) << Tag;
-    if (H.History[I].Valid)
+    if (H.History[I].Failure == search::FailureKind::None) {
       EXPECT_DOUBLE_EQ(H.History[I].Metric, A.History[I].Metric) << Tag;
+    }
   }
-  EXPECT_EQ(driver::serializePoint(H.Best), driver::serializePoint(A.Best))
+  EXPECT_EQ(search::serializePoint(H.Best), search::serializePoint(A.Best))
       << Tag;
   EXPECT_DOUBLE_EQ(H.BestMetric, A.BestMetric) << Tag;
   EXPECT_DOUBLE_EQ(Hand.R.BestCycles, Auto.R.BestCycles) << Tag;

@@ -118,6 +118,8 @@ TEST(QueueCodec, RejectsMalformedPayloads) {
   EXPECT_FALSE(parseQueueRecord("frobnicate 1 2 3").ok());
   EXPECT_FALSE(parseQueueRecord("lease").ok());           // missing fields
   EXPECT_FALSE(parseQueueRecord("lease x 0 w").ok());     // non-numeric id
+  EXPECT_FALSE(parseQueueRecord("lease -1 0 w").ok());    // signed id
+  EXPECT_FALSE(parseQueueRecord("result 1 0 w None 1x").ok()); // bad metric
   EXPECT_FALSE(parseQueueRecord("result 1 0 w nope 1").ok()); // bad kind
 }
 

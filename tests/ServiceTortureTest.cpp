@@ -161,14 +161,17 @@ TEST(ServiceTorture, WorkerKilledMidRunIsReassignedNotLost) {
                                     "--seed", "5", "--journal", RefJournal});
   ASSERT_TRUE(Ref.ok()) << Ref.describe() << "\n" << Ref.Stderr;
 
-  // Slot 0's first incarnation SIGKILLs itself on its 5th queue append
-  // (":0" = between frames: a worker process dying never tears the shared
-  // log — each frame is a single write under the flock). Its lease expires,
-  // the task is reassigned, the respawned incarnation finishes the run.
+  // Slot 0's first incarnation SIGKILLs itself on its 2nd queue append (the
+  // spec is 0-based), right after its first claim: it dies holding a lease.
+  // ":0" = between frames: a worker process dying never tears the shared
+  // log — each frame is a single write under the flock. Its lease expires,
+  // the task is reassigned, the respawned incarnation finishes the run. A
+  // later append would be timing-dependent: with 2 workers sharing 10 tasks,
+  // slot 0 sometimes claims only one or two and never reaches it.
   SubprocessResult Srv = runVictim(
       {"--searcher", "de", "--budget", "10", "--seed", "5", "--journal",
        Dir.path() + "/svc.rlog", "--serve", "2", "--queue-dir",
-       Dir.path() + "/q", "--worker-crash-at", "5:0", "--lease-timeout", "1",
+       Dir.path() + "/q", "--worker-crash-at", "1:0", "--lease-timeout", "1",
        "--backoff", "0.05"});
   ASSERT_TRUE(Srv.ok()) << Srv.describe() << "\n" << Srv.Stderr;
   EXPECT_EQ(summaryLine(Srv.Stdout, "BEST"), summaryLine(Ref.Stdout, "BEST"));

@@ -11,6 +11,7 @@
 #include "src/cir/Parser.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -79,14 +80,14 @@ TEST(StaticPrune, Fig7PrunesWithoutChangingTheOutcome) {
   for (size_t I = 0; I < On.Search.History.size(); ++I) {
     EXPECT_EQ(On.Search.History[I].P.key(), Off.Search.History[I].P.key())
         << "trajectory diverged at step " << I;
-    EXPECT_EQ(On.Search.History[I].Valid, Off.Search.History[I].Valid);
-    if (On.Search.History[I].Valid) {
+    EXPECT_EQ(On.Search.History[I].Failure, Off.Search.History[I].Failure);
+    if (On.Search.History[I].Failure == search::FailureKind::None) {
       EXPECT_DOUBLE_EQ(On.Search.History[I].Metric,
                        Off.Search.History[I].Metric);
     }
   }
-  EXPECT_EQ(driver::serializePoint(On.Search.Best),
-            driver::serializePoint(Off.Search.Best));
+  EXPECT_EQ(search::serializePoint(On.Search.Best),
+            search::serializePoint(Off.Search.Best));
   EXPECT_DOUBLE_EQ(On.Search.BestMetric, Off.Search.BestMetric);
 }
 
@@ -131,7 +132,7 @@ CodeReg nest {
   // The pruned record carries the module's located illegality diagnostic.
   bool SawDetail = false;
   for (const auto &Rec : R->Search.History)
-    if (!Rec.Valid &&
+    if (Rec.Failure != search::FailureKind::None &&
         Rec.Detail.find("interchange violates a dependence") !=
             std::string::npos)
       SawDetail = true;
@@ -228,7 +229,7 @@ TEST(StaticPrune, RacyParallelizationIsPrunedNotEvaluated) {
   // The pruned record carries the race witness.
   bool SawWitness = false;
   for (const auto &Rec : RFull->Search.History)
-    if (!Rec.Valid && Rec.Detail.find("racy") != std::string::npos &&
+    if (Rec.Failure != search::FailureKind::None && Rec.Detail.find("racy") != std::string::npos &&
         Rec.Detail.find("'V'") != std::string::npos)
       SawWitness = true;
   EXPECT_TRUE(SawWitness);
@@ -242,8 +243,8 @@ TEST(StaticPrune, RacyParallelizationIsPrunedNotEvaluated) {
   ASSERT_TRUE(RHand.ok()) << RHand.message();
   EXPECT_EQ(RHand->Search.Evaluations, 1);
   EXPECT_EQ(RHand->Search.PrunedStatic, 0);
-  EXPECT_EQ(driver::serializePoint(RFull->Search.Best),
-            driver::serializePoint(RHand->Search.Best));
+  EXPECT_EQ(search::serializePoint(RFull->Search.Best),
+            search::serializePoint(RHand->Search.Best));
   EXPECT_DOUBLE_EQ(RFull->Search.BestMetric, RHand->Search.BestMetric);
 }
 
@@ -270,10 +271,10 @@ TEST(StaticPrune, RacePruneDoesNotChangeTheTrajectory) {
   ASSERT_EQ(On.Search.History.size(), Off.Search.History.size());
   for (size_t I = 0; I < On.Search.History.size(); ++I) {
     EXPECT_EQ(On.Search.History[I].P.key(), Off.Search.History[I].P.key());
-    EXPECT_EQ(On.Search.History[I].Valid, Off.Search.History[I].Valid);
+    EXPECT_EQ(On.Search.History[I].Failure, Off.Search.History[I].Failure);
   }
-  EXPECT_EQ(driver::serializePoint(On.Search.Best),
-            driver::serializePoint(Off.Search.Best));
+  EXPECT_EQ(search::serializePoint(On.Search.Best),
+            search::serializePoint(Off.Search.Best));
   EXPECT_DOUBLE_EQ(On.Search.BestMetric, Off.Search.BestMetric);
 }
 

@@ -480,7 +480,7 @@ TEST_P(SubprocessFaultSurvival, SearchCompletesOverMisbehavingBinaries) {
         modeFor(Rec.P, Seed) == VictimMode::Segv) {
       EXPECT_NE(Rec.Detail.find("SIGSEGV"), std::string::npos) << GetParam();
     }
-    if (!Rec.Valid)
+    if (Rec.Failure != FailureKind::None)
       ++Faults;
   }
   EXPECT_EQ(Faults, R.InvalidPoints) << GetParam();

@@ -126,5 +126,28 @@ TEST(Support, StringUtils) {
   EXPECT_FALSE(endsWith("ar", "bar"));
 }
 
+TEST(Support, ParseNumberConsumesExactlyOneNumber) {
+  int64_t I = 7;
+  EXPECT_TRUE(parseNumber("-42", I));
+  EXPECT_EQ(I, -42);
+  uint64_t U = 7;
+  EXPECT_TRUE(parseNumber("ff", U, 16));
+  EXPECT_EQ(U, 255u);
+  double D = 0;
+  EXPECT_TRUE(parseNumber("1.5e-3", D));
+  EXPECT_DOUBLE_EQ(D, 1.5e-3);
+  for (const char *Bad : {"", " 1", "1 ", "+1", "1x", "abc", "0x10"}) {
+    SCOPED_TRACE(Bad);
+    EXPECT_FALSE(parseNumber(Bad, I));
+    EXPECT_FALSE(parseNumber(Bad, D));
+  }
+  // Unsigned fields reject a sign instead of wrapping to 2^64-1, and
+  // out-of-range values are errors; failures leave the target untouched.
+  U = 7;
+  EXPECT_FALSE(parseNumber("-1", U));
+  EXPECT_FALSE(parseNumber("18446744073709551616", U));
+  EXPECT_EQ(U, 7u);
+}
+
 } // namespace
 } // namespace locus
