@@ -23,6 +23,7 @@
 #include "src/locus/LocusParser.h"
 #include "src/locus/LocusPrinter.h"
 #include "src/search/PointCodec.h"
+#include "src/support/RecordCodec.h"
 #include "src/support/RecordLog.h"
 #include "src/support/Signals.h"
 #include "src/support/StringUtils.h"
@@ -72,9 +73,9 @@ struct CliConfig {
 /// The invocation forms (bit set); every option names the ones accepting it.
 namespace mode {
 constexpr unsigned Search = 1, Serve = 2, Worker = 4, Discover = 8,
-                   Bounds = 16;
+                   Bounds = 16, Tune = 32;
 /// Modes that run a search: options shaping one.
-constexpr unsigned Tuning = Search | Serve | Discover;
+constexpr unsigned Tuning = Search | Serve | Tune;
 /// Modes that build the evaluation objective, a spawned worker included.
 constexpr unsigned Objective = Tuning | Worker;
 } // namespace mode
@@ -93,6 +94,8 @@ const ModeInfo AllModes[] = {
     {mode::Worker, 'w', "--worker",
      "PROGRAM.locus SOURCE.c --worker --queue-dir DIR [options]"},
     {mode::Discover, 'd', "--discover", "--discover SOURCE.c [options]"},
+    {mode::Tune, 't', "--discover --tune",
+     "--discover SOURCE.c --tune [options]"},
     {mode::Bounds, 'b', "--bounds-check", "--bounds-check SOURCE.c [options]"},
 };
 
@@ -177,7 +180,7 @@ constexpr CliOption Options[] = {
        return Accepted;
      }},
     {"--machine", "xeon|tiny", "simulated machine (default xeon)",
-     mode::Objective, true,
+     mode::Objective | mode::Discover, true,
      [](Cfg &C, const char *V) -> const char * {
        if (std::strcmp(V, "xeon") == 0)
          C.Opts.Eval.Machine = machine::MachineConfig::xeonE5v3();
@@ -187,8 +190,8 @@ constexpr CliOption Options[] = {
          return "xeon or tiny";
        return Accepted;
      }},
-    {"--cores", "N", "override the machine's core count", mode::Objective,
-     true,
+    {"--cores", "N", "override the machine's core count",
+     mode::Objective | mode::Discover, true,
      [](Cfg &C, const char *V) {
        return setInt(C.Opts.Eval.Machine.Cores, V, 1);
      }},
@@ -277,11 +280,11 @@ constexpr CliOption Options[] = {
      [](Cfg &C, const char *) { C.Opts.StaticPrune = false; return Accepted; }},
     {"--tune", nullptr,
      "annotate the candidates and tune each under the generic program",
-     mode::Discover, false,
+     mode::Tune, false,
      [](Cfg &C, const char *) { C.Tune = true; return Accepted; }},
     {"--discover-top", "N",
      "with --tune, tune only the N hottest candidates (default all)",
-     mode::Discover, false,
+     mode::Tune, false,
      [](Cfg &C, const char *V) { return setInt(C.DiscoverTop, V, 1); }},
     {"--serve", nullptr,
      "dispatch evaluations to worker processes through a durable queue",
@@ -382,71 +385,35 @@ int dumpRecordLog(std::string Path, bool Queue) {
               Path.c_str(), Scan->Records.size(),
               (unsigned long long)Scan->GoodBytes);
 
-  // The header payload pins the file to a space + config; show both the
-  // parsed fingerprints (when the format is recognized) and the raw text.
-  if (Queue) {
-    auto H = service::parseQueueHeader(Scan->Header);
-    if (H.ok())
-      std::printf("header: queue v1, space fingerprint %016llx, config "
-                  "digest %016llx\n",
-                  (unsigned long long)H->SpaceFingerprint,
-                  (unsigned long long)H->ConfigDigest);
-    else
-      std::printf("header: unrecognized (%s)\n", H.message().c_str());
-  } else {
-    search::JournalHeader H;
-    if (search::SearchJournal::parseHeader(Scan->Header, H))
-      std::printf("header: journal, space fingerprint %016llx, config "
-                  "digest %016llx\n",
-                  (unsigned long long)H.SpaceFingerprint,
-                  (unsigned long long)H.ConfigDigest);
-    else
-      std::printf("header: unrecognized journal header\n");
-  }
+  // The header pins the file to a space + search config.
+  std::string_view Tag =
+      Queue ? service::QueueHeaderTag : search::JournalHeaderTag;
+  support::RunHeader H;
+  if (support::parseRunHeader(Tag, Scan->Header, H))
+    std::printf("header: %.*s, space fingerprint %s, config digest %s\n",
+                static_cast<int>(Tag.size()), Tag.data(),
+                support::hex16(H.SpaceFingerprint).c_str(),
+                support::hex16(H.ConfigDigest).c_str());
+  else
+    std::printf("header: unrecognized, want %.*s\n",
+                static_cast<int>(Tag.size()), Tag.data());
 
+  // Each record is one line of fields; the first stretch (the point, or a
+  // queue record's kind and ids) is the useful part at a glance. A queue
+  // dump also folds the records into the task state summarized below.
   uint64_t Off = support::RecordLog::headerBlockSize(Scan->Header.size());
   service::QueueState State;
   for (size_t I = 0; I < Scan->Records.size(); ++I) {
     const std::string &Payload = Scan->Records[I];
-    std::string Summary;
+    std::string Summary = Payload.substr(0, 96);
+    if (Payload.size() > 96)
+      Summary += "...";
     if (Queue) {
       auto R = service::parseQueueRecord(Payload);
-      if (R.ok()) {
-        Summary = service::queueRecordKindName(R->K);
-        if (R->K != service::QueueRecord::Kind::Shutdown)
-          Summary += " id=" + std::to_string(R->Id);
-        switch (R->K) {
-        case service::QueueRecord::Kind::Lease:
-        case service::QueueRecord::Kind::Heartbeat:
-          Summary += " epoch=" + std::to_string(R->Epoch) + " worker=" +
-                     R->Worker;
-          break;
-        case service::QueueRecord::Kind::Expire:
-          Summary += " epoch=" + std::to_string(R->Epoch);
-          break;
-        case service::QueueRecord::Kind::Result:
-          Summary += " epoch=" + std::to_string(R->Epoch) + " worker=" +
-                     R->Worker + " " +
-                     (R->Out.ok() ? "metric=" + std::to_string(R->Out.Metric)
-                                  : std::string(search::failureKindName(
-                                        R->Out.Failure)));
-          break;
-        default:
-          break;
-        }
+      if (R.ok())
         State.apply(*R);
-      } else {
+      else
         Summary = "unparseable: " + R.message();
-      }
-    } else {
-      // Journal records are single JSON lines; the first stretch is the
-      // point itself, which is the useful part at a glance.
-      Summary = Payload.substr(0, 96);
-      if (Payload.size() > 96)
-        Summary += "...";
-      for (char &C : Summary)
-        if (C == '\n')
-          C = ' ';
     }
     std::printf("  @%-8llu %5zu bytes  %s\n", (unsigned long long)Off,
                 Payload.size(), Summary.c_str());
@@ -769,7 +736,7 @@ int main(int argc, char **argv) {
         ForwardArgs.push_back(V);
     }
   }
-  unsigned Mode = Discover      ? mode::Discover
+  unsigned Mode = Discover      ? (C.Tune ? mode::Tune : mode::Discover)
                   : BoundsCheck ? mode::Bounds
                   : C.Serve     ? mode::Serve
                   : C.Worker    ? mode::Worker

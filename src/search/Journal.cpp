@@ -4,15 +4,11 @@
 
 #include "src/search/PointCodec.h"
 #include "src/support/Hashing.h"
-#include "src/support/StringUtils.h"
+#include "src/support/RecordCodec.h"
 
-#include <cctype>
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include <fcntl.h>
@@ -23,130 +19,7 @@ namespace search {
 
 namespace {
 
-void appendEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
-/// Parses a JSON string starting at Text[Pos] (which must be '"'); advances
-/// Pos past the closing quote.
-bool parseJsonString(std::string_view Text, size_t &Pos, std::string &Out) {
-  if (Pos >= Text.size() || Text[Pos] != '"')
-    return false;
-  ++Pos;
-  Out.clear();
-  while (Pos < Text.size()) {
-    char C = Text[Pos];
-    if (C == '"') {
-      ++Pos;
-      return true;
-    }
-    if (C == '\\') {
-      if (Pos + 1 >= Text.size())
-        return false;
-      char E = Text[Pos + 1];
-      Pos += 2;
-      switch (E) {
-      case '"':
-        Out += '"';
-        break;
-      case '\\':
-        Out += '\\';
-        break;
-      case '/':
-        Out += '/';
-        break;
-      case 'n':
-        Out += '\n';
-        break;
-      case 'r':
-        Out += '\r';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      case 'u': {
-        if (Pos + 4 > Text.size())
-          return false;
-        unsigned Code = 0;
-        if (!parseNumber(Text.substr(Pos, 4), Code, 16))
-          return false;
-        Pos += 4;
-        // Journal strings only escape control bytes this way.
-        Out += static_cast<char>(Code);
-        break;
-      }
-      default:
-        return false;
-      }
-      continue;
-    }
-    Out += C;
-    ++Pos;
-  }
-  return false; // unterminated
-}
-
-void skipSpace(std::string_view Text, size_t &Pos) {
-  while (Pos < Text.size() && (Text[Pos] == ' ' || Text[Pos] == '\t'))
-    ++Pos;
-}
-
-bool expectChar(std::string_view Text, size_t &Pos, char C) {
-  skipSpace(Text, Pos);
-  if (Pos >= Text.size() || Text[Pos] != C)
-    return false;
-  ++Pos;
-  return true;
-}
-
-bool parseJsonNumber(std::string_view Text, size_t &Pos, double &Out) {
-  skipSpace(Text, Pos);
-  size_t End = Pos;
-  while (End < Text.size() &&
-         (std::isdigit(static_cast<unsigned char>(Text[End])) ||
-          Text[End] == '-' || Text[End] == '+' || Text[End] == '.' ||
-          Text[End] == 'e' || Text[End] == 'E'))
-    ++End;
-  if (!parseNumber(Text.substr(Pos, End - Pos), Out))
-    return false;
-  Pos = End;
-  return true;
-}
-
-constexpr const char *HeaderTag = "locus-journal v2";
-
-std::string hex16(uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
+using support::hex16;
 
 /// What the file is, judged by its first bytes.
 enum class FileFormat {
@@ -256,34 +129,11 @@ uint64_t journalConfigDigest(std::string_view SearcherName, uint64_t Seed) {
 }
 
 std::string SearchJournal::encodeHeader(const JournalHeader &H) {
-  std::string Out = HeaderTag;
-  Out += "\nspace=";
-  Out += hex16(H.SpaceFingerprint);
-  Out += "\nconfig=";
-  Out += hex16(H.ConfigDigest);
-  Out += '\n';
-  return Out;
+  return support::encodeRunHeader(JournalHeaderTag, H);
 }
 
 bool SearchJournal::parseHeader(std::string_view Text, JournalHeader &H) {
-  H = JournalHeader{};
-  auto TakeLine = [&Text]() -> std::string_view {
-    size_t Nl = Text.find('\n');
-    std::string_view Line = Text.substr(0, Nl);
-    Text = Nl == std::string_view::npos ? std::string_view()
-                                        : Text.substr(Nl + 1);
-    return Line;
-  };
-  if (TakeLine() != HeaderTag)
-    return false;
-  auto ParseField = [&TakeLine](std::string_view Name, uint64_t &Out) {
-    std::string_view Line = TakeLine();
-    if (Line.substr(0, Name.size()) != Name)
-      return false;
-    return parseNumber(Line.substr(Name.size()), Out, 16);
-  };
-  return ParseField("space=", H.SpaceFingerprint) &&
-         ParseField("config=", H.ConfigDigest);
+  return support::parseRunHeader(JournalHeaderTag, Text, H);
 }
 
 Expected<SearchJournal>
@@ -342,91 +192,33 @@ Status SearchJournal::append(const EvalRecord &R) {
 }
 
 std::string SearchJournal::encodeLine(const EvalRecord &R) {
-  std::string Out = "{\"point\":\"";
-  appendEscaped(Out, serializePoint(R.P));
-  Out += "\",\"metric\":";
-  // Failed records carry an infinite sentinel metric that JSON cannot
-  // express; the metric is recomputed from the failure kind on replay.
-  double Metric = std::isfinite(R.Metric) ? R.Metric : 0;
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Metric);
-  Out += Buf;
-  Out += ",\"failure\":\"";
-  appendEscaped(Out, failureKindName(R.Failure));
-  Out += "\",\"detail\":\"";
-  appendEscaped(Out, R.Detail);
-  Out += "\"}";
-  return Out;
+  support::RecordWriter W;
+  W.str("point", serializePoint(R.P));
+  support::putOutcome(W, R.Metric, R.Failure, R.Detail);
+  return W.take();
 }
 
 Expected<EvalRecord> SearchJournal::decodeLine(const std::string &Line,
                                                const Space &S) {
-  std::string_view Text = Line;
-  size_t Pos = 0;
-  if (!expectChar(Text, Pos, '{'))
-    return Expected<EvalRecord>::error("journal line is not a JSON object");
-
-  std::string PointText, FailureName, Detail;
-  bool HavePoint = false, HaveMetric = false, HaveFailure = false;
-  double Metric = 0;
-
-  while (true) {
-    skipSpace(Text, Pos);
-    std::string Key;
-    if (!parseJsonString(Text, Pos, Key))
-      return Expected<EvalRecord>::error("malformed journal key");
-    if (!expectChar(Text, Pos, ':'))
-      return Expected<EvalRecord>::error("missing ':' in journal line");
-    skipSpace(Text, Pos);
-    if (Key == "metric") {
-      if (!parseJsonNumber(Text, Pos, Metric))
-        return Expected<EvalRecord>::error("malformed journal metric");
-      HaveMetric = true;
-    } else {
-      std::string Value;
-      if (!parseJsonString(Text, Pos, Value))
-        return Expected<EvalRecord>::error("malformed journal value for " +
-                                           Key);
-      if (Key == "point") {
-        PointText = std::move(Value);
-        HavePoint = true;
-      } else if (Key == "failure") {
-        FailureName = std::move(Value);
-        HaveFailure = true;
-      } else if (Key == "detail") {
-        Detail = std::move(Value);
-      }
-      // Unknown string keys are ignored (forward compatibility).
-    }
-    skipSpace(Text, Pos);
-    if (Pos < Text.size() && Text[Pos] == ',') {
-      ++Pos;
-      continue;
-    }
-    break;
-  }
-  if (!expectChar(Text, Pos, '}'))
-    return Expected<EvalRecord>::error("unterminated journal line");
-  if (!HavePoint || !HaveMetric || !HaveFailure)
-    return Expected<EvalRecord>::error("journal line misses a required key");
-
-  bool KindOk = false;
-  FailureKind Kind = parseFailureKind(FailureName, KindOk);
-  if (!KindOk)
-    return Expected<EvalRecord>::error("unknown failure kind: " + FailureName);
-
+  using E = Expected<EvalRecord>;
+  Expected<support::RecordFields> F = support::RecordFields::parse(Line);
+  if (!F.ok())
+    return E::error("malformed journal record: " + F.message());
+  std::string PointText;
+  EvalOutcome Out;
+  if (Status St = F->get("point", PointText); !St.ok())
+    return E::error("journal record: " + St.message());
+  if (Status St = support::getOutcome(*F, Out); !St.ok())
+    return E::error("journal record: " + St.message());
   Expected<Point> P = deserializePoint(PointText, S);
   if (!P.ok())
-    return Expected<EvalRecord>::error("journal point does not match space: " +
-                                       P.message());
+    return E::error("journal point does not match space: " + P.message());
 
   EvalRecord R;
   R.P = std::move(*P);
-  R.Failure = Kind;
-  R.Metric = Kind == FailureKind::None
-                 ? Metric
-                 : std::numeric_limits<double>::infinity();
-  R.Detail = std::move(Detail);
+  R.Metric = Out.Metric;
+  R.Failure = Out.Failure;
+  R.Detail = std::move(Out.Detail);
   return R;
 }
 

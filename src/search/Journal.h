@@ -4,8 +4,8 @@
 /// An append-only journal of evaluation records. Long tuning runs die —
 /// machines reboot, jobs hit walltime, evaluators wedge — and without a
 /// journal every assessed variant is lost with them. Each fresh evaluation
-/// is appended as one JSON payload inside a CRC32C-framed record
-/// (support::RecordLog) and pushed toward stable storage per the
+/// is appended as one support::RecordCodec payload inside a CRC32C-framed
+/// record (support::RecordLog) and pushed toward stable storage per the
 /// configurable JournalSync policy, so at most the record being written
 /// when the process died is lost.
 ///
@@ -21,7 +21,7 @@
 /// checksums) are still loaded, and an open() over one migrates it to v2
 /// with an atomic rewrite.
 ///
-/// Record payload schema (one EvalRecord, unchanged from v1):
+/// Record payload (one EvalRecord, unchanged from v1; support::RecordCodec):
 ///   {"point":"<serialized point>","metric":<double>,
 ///    "failure":"<FailureKind name>","detail":"<string>"}
 ///
@@ -34,6 +34,7 @@
 
 #include "src/search/Search.h"
 #include "src/support/Error.h"
+#include "src/support/RecordCodec.h"
 #include "src/support/RecordLog.h"
 
 #include <cstdint>
@@ -58,17 +59,10 @@ enum class JournalSync : uint8_t {
 JournalSync parseJournalSync(std::string_view Name, bool &Ok);
 
 /// Identity of the run a journal belongs to, stored in the v2 header.
-struct JournalHeader {
-  /// search::Space::fingerprint() of the space the journaled points pin.
-  uint64_t SpaceFingerprint = 0;
-  /// journalConfigDigest() of the searcher configuration.
-  uint64_t ConfigDigest = 0;
+using JournalHeader = support::RunHeader;
 
-  bool operator==(const JournalHeader &O) const {
-    return SpaceFingerprint == O.SpaceFingerprint &&
-           ConfigDigest == O.ConfigDigest;
-  }
-};
+/// First line of a v2 journal header (support::encodeRunHeader).
+inline constexpr std::string_view JournalHeaderTag = "locus-journal v2";
 
 /// Digest of the search configuration knobs that determine a trajectory.
 /// Budget and --jobs are deliberately excluded: a resume legitimately runs
@@ -127,10 +121,10 @@ public:
   static Expected<LoadResult> load(const std::string &Path, const Space &S,
                                    const JournalHeader *Expect = nullptr);
 
-  /// Encodes one record as a JSON payload (no framing, no newline).
+  /// Encodes one record payload (no framing, no newline).
   static std::string encodeLine(const EvalRecord &R);
 
-  /// Decodes one JSON payload; the point is validated against \p Space.
+  /// Decodes one record payload; the point is validated against \p Space.
   static Expected<EvalRecord> decodeLine(const std::string &Line,
                                          const Space &S);
 

@@ -17,10 +17,13 @@
 ///    re-measured, not immortalized) are appended as CRC-framed records,
 ///    safe under --jobs N (internal mutex) and under concurrent processes
 ///    sharing the directory (RecordLog's flock protocol);
+///  - entries are support::RecordCodec payloads (variant key, point key,
+///    outcome) under the header "locus-evalcache v2";
 ///  - the store is advisory, never load-bearing: any I/O or corruption
-///    error — unreadable directory, torn file, disk full, read-only mount —
-///    emits one warning through the sink and degrades to plain in-memory
-///    behavior. A broken cache can cost re-evaluations, never the search;
+///    error — unreadable directory, torn file, disk full, read-only mount,
+///    a store of another format version — emits one warning through the
+///    sink and degrades to plain in-memory behavior. A broken cache can cost
+///    re-evaluations, never the search;
 ///  - duplicate entries (two processes racing on the same variant) are
 ///    tolerated on disk — first-loaded wins in memory — and compacted away
 ///    with an atomic rename when they outnumber useful entries.
@@ -79,7 +82,8 @@ public:
 
   PersistentCacheStats persistentStats() const;
 
-  /// Encodes one store entry (tab-separated, escaped; exposed for tests).
+  /// Encodes one store entry, a support::RecordCodec payload (exposed for
+  /// tests).
   static std::string encodeEntry(const CacheKey &Key,
                                  const std::string &PointKey,
                                  const EvalOutcome &Outcome);

@@ -97,13 +97,6 @@ public:
   /// a concurrency-safe objective must build per-call interpreter/evaluator
   /// state instead of mutating anything shared.
   virtual bool concurrencySafe() const { return false; }
-
-  /// Legacy adapter: metric plus a validity flag (failure kinds erased).
-  double evaluate(const Point &P, bool &Valid) {
-    EvalOutcome O = assess(P);
-    Valid = O.ok();
-    return Valid ? O.Metric : 0;
-  }
 };
 
 /// Base class for objectives that support batched, concurrent assessment:

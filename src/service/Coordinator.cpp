@@ -69,7 +69,7 @@ Status Coordinator::init() {
 
   TaskQueueOptions QOpts;
   QOpts.Dir = Opts.QueueDir;
-  QOpts.Header = makeQueueHeader(Opts.SpaceFingerprint, Opts.ConfigDigest);
+  QOpts.Header = {Opts.SpaceFingerprint, Opts.ConfigDigest};
   QOpts.RequireHeaderMatch = true;
   QOpts.FsyncEachRecord = Opts.FsyncEachRecord;
   auto Q = TaskQueue::open(QOpts);

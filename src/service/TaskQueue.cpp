@@ -2,206 +2,119 @@
 
 #include "src/service/TaskQueue.h"
 
-#include "src/support/StringUtils.h"
-
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <limits>
 #include <vector>
 
 namespace locus {
 namespace service {
 
 namespace {
-
 constexpr const char *QueueFileName = "queue.rlog";
-constexpr const char *HeaderMagic = "locus-queue v1";
-
-/// Worker ids are single space-free tokens in the record grammar; anything
-/// else would shift fields on parse.
-std::string sanitizeToken(const std::string &S) {
-  std::string Out = S.empty() ? std::string("anon") : S;
-  for (char &C : Out)
-    if (C == ' ' || C == '\n' || C == '\t' || C == '\r')
-      C = '_';
-  return Out;
-}
-
-std::string formatMetric(const search::EvalOutcome &Out) {
-  // Journal convention: failures carry no meaningful metric; encode 0 and
-  // restore infinity on decode. Successful metrics round-trip exactly via
-  // %.17g.
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Out.ok() ? Out.Metric : 0.0);
-  return Buf;
-}
-
-std::vector<std::string> splitFields(const std::string &Line) {
-  std::vector<std::string> Fields;
-  size_t Pos = 0;
-  while (Pos < Line.size()) {
-    size_t Space = Line.find(' ', Pos);
-    if (Space == std::string::npos) {
-      Fields.push_back(Line.substr(Pos));
-      break;
-    }
-    Fields.push_back(Line.substr(Pos, Space - Pos));
-    Pos = Space + 1;
-  }
-  return Fields;
-}
-
+using Kind = QueueRecord::Kind;
 } // namespace
 
-const char *queueRecordKindName(QueueRecord::Kind K) {
+const char *queueRecordKindName(Kind K) {
   switch (K) {
-  case QueueRecord::Kind::Task:
+  case Kind::Task:
     return "task";
-  case QueueRecord::Kind::Lease:
+  case Kind::Lease:
     return "lease";
-  case QueueRecord::Kind::Heartbeat:
+  case Kind::Heartbeat:
     return "hb";
-  case QueueRecord::Kind::Expire:
+  case Kind::Expire:
     return "expire";
-  case QueueRecord::Kind::Result:
+  case Kind::Result:
     return "result";
-  case QueueRecord::Kind::Quarantine:
+  case Kind::Quarantine:
     return "quarantine";
-  case QueueRecord::Kind::Shutdown:
+  case Kind::Shutdown:
     return "shutdown";
   }
   return "unknown";
 }
 
 std::string encodeQueueRecord(const QueueRecord &R) {
-  char Buf[96];
-  std::string Out;
+  support::RecordWriter W;
+  W.str("kind", queueRecordKindName(R.K));
+  if (R.K != Kind::Shutdown)
+    W.u64("id", R.Id);
   switch (R.K) {
-  case QueueRecord::Kind::Task:
-    std::snprintf(Buf, sizeof(Buf), "task %" PRIu64 " %016" PRIx64, R.Id,
-                  R.Digest);
-    Out = Buf;
-    Out += '\n';
-    Out += R.Body;
-    return Out;
-  case QueueRecord::Kind::Lease:
-  case QueueRecord::Kind::Heartbeat:
-    std::snprintf(Buf, sizeof(Buf), "%s %" PRIu64 " %" PRIu64 " ",
-                  queueRecordKindName(R.K), R.Id, R.Epoch);
-    Out = Buf;
-    Out += sanitizeToken(R.Worker);
-    return Out;
-  case QueueRecord::Kind::Expire:
-    std::snprintf(Buf, sizeof(Buf), "expire %" PRIu64 " %" PRIu64, R.Id,
-                  R.Epoch);
-    return Buf;
-  case QueueRecord::Kind::Result:
-    std::snprintf(Buf, sizeof(Buf), "result %" PRIu64 " %" PRIu64 " ", R.Id,
-                  R.Epoch);
-    Out = Buf;
-    Out += sanitizeToken(R.Worker);
-    Out += ' ';
-    Out += search::failureKindName(R.Out.Failure);
-    Out += ' ';
-    Out += formatMetric(R.Out);
-    Out += '\n';
-    Out += R.Out.Detail;
-    return Out;
-  case QueueRecord::Kind::Quarantine:
-    std::snprintf(Buf, sizeof(Buf), "quarantine %" PRIu64, R.Id);
-    Out = Buf;
-    Out += '\n';
-    Out += R.Body;
-    return Out;
-  case QueueRecord::Kind::Shutdown:
-    return "shutdown";
+  case Kind::Task:
+    W.u64("digest", R.Digest).str("point", R.Body);
+    break;
+  case Kind::Lease:
+  case Kind::Heartbeat:
+    W.u64("epoch", R.Epoch).str("worker", R.Worker);
+    break;
+  case Kind::Expire:
+    W.u64("epoch", R.Epoch);
+    break;
+  case Kind::Result:
+    W.u64("epoch", R.Epoch).str("worker", R.Worker);
+    support::putOutcome(W, R.Out.Metric, R.Out.Failure, R.Out.Detail);
+    break;
+  case Kind::Quarantine:
+    W.str("detail", R.Body);
+    break;
+  case Kind::Shutdown:
+    break;
   }
-  return "";
+  return W.take();
 }
 
 Expected<QueueRecord> parseQueueRecord(const std::string &Payload) {
   using E = Expected<QueueRecord>;
-  size_t Newline = Payload.find('\n');
-  std::string Line =
-      Newline == std::string::npos ? Payload : Payload.substr(0, Newline);
-  std::string Body =
-      Newline == std::string::npos ? std::string() : Payload.substr(Newline + 1);
-  std::vector<std::string> F = splitFields(Line);
-  if (F.empty())
-    return E::error("empty queue record");
-
+  auto F = support::RecordFields::parse(Payload);
+  if (!F.ok())
+    return E::error("malformed queue record: " + F.message());
+  std::string Name;
+  if (Status S = F->get("kind", Name); !S.ok())
+    return E::error("queue record: " + S.message());
   QueueRecord R;
-  const std::string &Kind = F[0];
-  auto WantFields = [&](size_t N) {
-    return F.size() == N
-               ? Status::success()
-               : Status::error("queue record '" + Kind + "' has " +
-                               std::to_string(F.size() - 1) + " field(s), want " +
-                               std::to_string(N - 1));
-  };
+  bool Known = false;
+  for (Kind Each : {Kind::Task, Kind::Lease, Kind::Heartbeat, Kind::Expire,
+                    Kind::Result, Kind::Quarantine, Kind::Shutdown})
+    if (Name == queueRecordKindName(Each)) {
+      R.K = Each;
+      Known = true;
+    }
+  if (!Known)
+    return E::error("unknown queue record kind '" + Name + "'");
 
-  if (Kind == "task") {
-    if (Status S = WantFields(3); !S.ok())
-      return E::error(S.message());
-    R.K = QueueRecord::Kind::Task;
-    if (!parseNumber(F[1], R.Id) || !parseNumber(F[2], R.Digest, 16))
-      return E::error("malformed task record fields");
-    R.Body = std::move(Body);
-    return R;
+  Status S;
+  auto Get = [&](std::string_view Key, auto &Out) {
+    if (S.ok())
+      S = F->get(Key, Out);
+  };
+  if (R.K != Kind::Shutdown)
+    Get("id", R.Id);
+  switch (R.K) {
+  case Kind::Task:
+    Get("digest", R.Digest);
+    Get("point", R.Body);
+    break;
+  case Kind::Lease:
+  case Kind::Heartbeat:
+    Get("epoch", R.Epoch);
+    Get("worker", R.Worker);
+    break;
+  case Kind::Expire:
+    Get("epoch", R.Epoch);
+    break;
+  case Kind::Result:
+    Get("epoch", R.Epoch);
+    Get("worker", R.Worker);
+    if (S.ok())
+      S = support::getOutcome(*F, R.Out);
+    break;
+  case Kind::Quarantine:
+    Get("detail", R.Body);
+    break;
+  case Kind::Shutdown:
+    break;
   }
-  if (Kind == "lease" || Kind == "hb") {
-    if (Status S = WantFields(4); !S.ok())
-      return E::error(S.message());
-    R.K = Kind == "lease" ? QueueRecord::Kind::Lease
-                          : QueueRecord::Kind::Heartbeat;
-    if (!parseNumber(F[1], R.Id) || !parseNumber(F[2], R.Epoch))
-      return E::error("malformed " + Kind + " record fields");
-    R.Worker = F[3];
-    return R;
-  }
-  if (Kind == "expire") {
-    if (Status S = WantFields(3); !S.ok())
-      return E::error(S.message());
-    R.K = QueueRecord::Kind::Expire;
-    if (!parseNumber(F[1], R.Id) || !parseNumber(F[2], R.Epoch))
-      return E::error("malformed expire record fields");
-    return R;
-  }
-  if (Kind == "result") {
-    if (Status S = WantFields(6); !S.ok())
-      return E::error(S.message());
-    R.K = QueueRecord::Kind::Result;
-    if (!parseNumber(F[1], R.Id) || !parseNumber(F[2], R.Epoch))
-      return E::error("malformed result record fields");
-    R.Worker = F[3];
-    bool KindOk = false;
-    R.Out.Failure = search::parseFailureKind(F[4], KindOk);
-    if (!KindOk)
-      return E::error("unknown failure kind '" + F[4] + "' in result record");
-    double Metric = 0;
-    if (!parseNumber(F[5], Metric))
-      return E::error("malformed metric '" + F[5] + "' in result record");
-    R.Out.Metric = R.Out.ok() ? Metric
-                              : std::numeric_limits<double>::infinity();
-    R.Out.Detail = Body;
-    R.Body = std::move(Body);
-    return R;
-  }
-  if (Kind == "quarantine") {
-    if (Status S = WantFields(2); !S.ok())
-      return E::error(S.message());
-    R.K = QueueRecord::Kind::Quarantine;
-    if (!parseNumber(F[1], R.Id))
-      return E::error("malformed quarantine record fields");
-    R.Body = std::move(Body);
-    return R;
-  }
-  if (Kind == "shutdown") {
-    R.K = QueueRecord::Kind::Shutdown;
-    return R;
-  }
-  return E::error("unknown queue record kind '" + Kind + "'");
+  if (!S.ok())
+    return E::error(Name + " record: " + S.message());
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -211,7 +124,7 @@ Expected<QueueRecord> parseQueueRecord(const std::string &Payload) {
 void QueueState::apply(const QueueRecord &R) {
   ++AppliedRecords;
   switch (R.K) {
-  case QueueRecord::Kind::Task: {
+  case Kind::Task: {
     auto [It, Inserted] = Tasks.try_emplace(R.Id);
     if (Inserted) {
       It->second.Id = R.Id;
@@ -223,7 +136,7 @@ void QueueState::apply(const QueueRecord &R) {
     // construction (id assignment is monotonic per queue).
     return;
   }
-  case QueueRecord::Kind::Lease: {
+  case Kind::Lease: {
     auto It = Tasks.find(R.Id);
     if (It == Tasks.end())
       return;
@@ -234,12 +147,12 @@ void QueueState::apply(const QueueRecord &R) {
       T.LeaseWorker = R.Worker;
     return;
   }
-  case QueueRecord::Kind::Heartbeat:
+  case Kind::Heartbeat:
     // Liveness is judged by the *observer's* arrival clock (no in-file
     // timestamps, hence no cross-host clock skew); the fold itself is
     // heartbeat-blind.
     return;
-  case QueueRecord::Kind::Expire: {
+  case Kind::Expire: {
     auto It = Tasks.find(R.Id);
     if (It == Tasks.end())
       return;
@@ -250,7 +163,7 @@ void QueueState::apply(const QueueRecord &R) {
     }
     return;
   }
-  case QueueRecord::Kind::Result: {
+  case Kind::Result: {
     auto It = Tasks.find(R.Id);
     if (It == Tasks.end()) {
       ++StaleResultsDiscarded;
@@ -271,7 +184,7 @@ void QueueState::apply(const QueueRecord &R) {
     }
     return;
   }
-  case QueueRecord::Kind::Quarantine: {
+  case Kind::Quarantine: {
     auto It = Tasks.find(R.Id);
     if (It == Tasks.end())
       return;
@@ -285,7 +198,7 @@ void QueueState::apply(const QueueRecord &R) {
     }
     return;
   }
-  case QueueRecord::Kind::Shutdown:
+  case Kind::Shutdown:
     ShutdownSeen = true;
     return;
   }
@@ -307,58 +220,46 @@ const TaskState *QueueState::firstClaimable() const {
 // TaskQueue
 //===----------------------------------------------------------------------===//
 
-std::string makeQueueHeader(uint64_t SpaceFingerprint, uint64_t ConfigDigest) {
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "%s\nspace=%016" PRIx64 "\nconfig=%016" PRIx64,
-                HeaderMagic, SpaceFingerprint, ConfigDigest);
-  return Buf;
-}
-
-Expected<QueueHeaderInfo> parseQueueHeader(const std::string &Header) {
-  using E = Expected<QueueHeaderInfo>;
-  QueueHeaderInfo Info;
-  size_t FirstNl = Header.find('\n');
-  if (Header.compare(0, std::strlen(HeaderMagic), HeaderMagic) != 0 ||
-      FirstNl == std::string::npos)
-    return E::error("not a locus-queue v1 header");
-  size_t SecondNl = Header.find('\n', FirstNl + 1);
-  if (SecondNl == std::string::npos)
-    return E::error("queue header is missing its config line");
-  std::string SpaceLine = Header.substr(FirstNl + 1, SecondNl - FirstNl - 1);
-  std::string ConfigLine = Header.substr(SecondNl + 1);
-  if (SpaceLine.compare(0, 6, "space=") != 0 ||
-      !parseNumber(SpaceLine.substr(6), Info.SpaceFingerprint, 16))
-    return E::error("queue header has a malformed space fingerprint");
-  if (ConfigLine.compare(0, 7, "config=") != 0 ||
-      !parseNumber(ConfigLine.substr(7), Info.ConfigDigest, 16))
-    return E::error("queue header has a malformed config digest");
-  return Info;
-}
-
 std::string TaskQueue::queueFilePath(const std::string &Dir) {
   return Dir + "/" + QueueFileName;
 }
 
 Expected<TaskQueue> TaskQueue::open(const TaskQueueOptions &Opts) {
+  using E = Expected<TaskQueue>;
   TaskQueue Q;
   Q.Path = queueFilePath(Opts.Dir);
   support::RecordLogOptions LOpts;
-  LOpts.Header = Opts.Header;
-  LOpts.RequireHeaderMatch = Opts.RequireHeaderMatch;
+  LOpts.Header = support::encodeRunHeader(QueueHeaderTag, Opts.Header);
+  // Compared structurally below, for a diagnostic that names the mismatch.
+  LOpts.RequireHeaderMatch = false;
   LOpts.FsyncEachRecord = Opts.FsyncEachRecord;
   support::RecordLogScan Recovery;
   auto Log = support::RecordLog::open(Q.Path, LOpts, &Recovery);
   if (!Log.ok())
-    return Expected<TaskQueue>::error(Log.message());
+    return E::error(Log.message());
+  Q.Header = Opts.Header;
+  if (!Recovery.Header.empty() &&
+      !support::parseRunHeader(QueueHeaderTag, Recovery.Header, Q.Header))
+    return E::error("queue " + Q.Path + " has no " +
+                    std::string(QueueHeaderTag) + " header (found '" +
+                    Recovery.Header.substr(0, Recovery.Header.find('\n')) +
+                    "'): it was written by another tool or version; remove "
+                    "the queue dir to start fresh");
+  if (Opts.RequireHeaderMatch && !(Q.Header == Opts.Header))
+    return E::error("queue " + Q.Path + " belongs to another search (space " +
+                    support::hex16(Q.Header.SpaceFingerprint) + ", config " +
+                    support::hex16(Q.Header.ConfigDigest) + "; this run has " +
+                    support::hex16(Opts.Header.SpaceFingerprint) + ", " +
+                    support::hex16(Opts.Header.ConfigDigest) +
+                    "); remove the queue dir or serve another one");
   Q.Log = std::move(*Log);
-  Q.Header = Recovery.Header.empty() ? Opts.Header : Recovery.Header;
   return Q;
 }
 
 Status TaskQueue::announceTask(uint64_t Id, const std::string &PointText,
                                uint64_t Digest) {
   QueueRecord R;
-  R.K = QueueRecord::Kind::Task;
+  R.K = Kind::Task;
   R.Id = Id;
   R.Digest = Digest;
   R.Body = PointText;
@@ -368,7 +269,7 @@ Status TaskQueue::announceTask(uint64_t Id, const std::string &PointText,
 Status TaskQueue::claim(uint64_t Id, uint64_t Epoch,
                         const std::string &Worker) {
   QueueRecord R;
-  R.K = QueueRecord::Kind::Lease;
+  R.K = Kind::Lease;
   R.Id = Id;
   R.Epoch = Epoch;
   R.Worker = Worker;
@@ -378,7 +279,7 @@ Status TaskQueue::claim(uint64_t Id, uint64_t Epoch,
 Status TaskQueue::heartbeat(uint64_t Id, uint64_t Epoch,
                             const std::string &Worker) {
   QueueRecord R;
-  R.K = QueueRecord::Kind::Heartbeat;
+  R.K = Kind::Heartbeat;
   R.Id = Id;
   R.Epoch = Epoch;
   R.Worker = Worker;
@@ -389,7 +290,7 @@ Status TaskQueue::postResult(uint64_t Id, uint64_t Epoch,
                              const std::string &Worker,
                              const search::EvalOutcome &Out) {
   QueueRecord R;
-  R.K = QueueRecord::Kind::Result;
+  R.K = Kind::Result;
   R.Id = Id;
   R.Epoch = Epoch;
   R.Worker = Worker;
@@ -399,7 +300,7 @@ Status TaskQueue::postResult(uint64_t Id, uint64_t Epoch,
 
 Status TaskQueue::expire(uint64_t Id, uint64_t Epoch) {
   QueueRecord R;
-  R.K = QueueRecord::Kind::Expire;
+  R.K = Kind::Expire;
   R.Id = Id;
   R.Epoch = Epoch;
   return Log.append(encodeQueueRecord(R));
@@ -407,7 +308,7 @@ Status TaskQueue::expire(uint64_t Id, uint64_t Epoch) {
 
 Status TaskQueue::quarantine(uint64_t Id, const std::string &Detail) {
   QueueRecord R;
-  R.K = QueueRecord::Kind::Quarantine;
+  R.K = Kind::Quarantine;
   R.Id = Id;
   R.Body = Detail;
   return Log.append(encodeQueueRecord(R));
@@ -415,7 +316,7 @@ Status TaskQueue::quarantine(uint64_t Id, const std::string &Detail) {
 
 Status TaskQueue::announceShutdown() {
   QueueRecord R;
-  R.K = QueueRecord::Kind::Shutdown;
+  R.K = Kind::Shutdown;
   return Log.append(encodeQueueRecord(R));
 }
 
@@ -427,7 +328,7 @@ Status TaskQueue::compactDropShutdown() {
   Kept.reserve(Scan->Records.size());
   for (std::string &Payload : Scan->Records) {
     auto R = parseQueueRecord(Payload);
-    if (R.ok() && R->K == QueueRecord::Kind::Shutdown)
+    if (R.ok() && R->K == Kind::Shutdown)
       continue;
     Kept.push_back(std::move(Payload));
   }

@@ -8,16 +8,16 @@
 /// is the state* — there is no other source of truth, which is exactly what
 /// makes a SIGKILL at any byte recoverable: reopen, re-fold, continue.
 ///
-/// Record grammar (text payloads; first line is space-separated fields,
-/// the remainder — after the first '\n' — is a free-form body):
+/// Records are support::RecordCodec payloads under the header tag
+/// "locus-queue v2"; every record names its kind, and numbers are decimal:
 ///
-///   task <id> <digest16>        body = serialized point
-///   lease <id> <epoch> <worker>
-///   hb <id> <epoch> <worker>
-///   expire <id> <epoch>
-///   result <id> <epoch> <worker> <failure-kind> <metric>   body = detail
-///   quarantine <id>             body = detail
-///   shutdown
+///   {"kind":"task","id":N,"digest":N,"point":"<serialized point>"}
+///   {"kind":"lease","id":N,"epoch":N,"worker":"<id>"}      (also "hb")
+///   {"kind":"expire","id":N,"epoch":N}
+///   {"kind":"result","id":N,"epoch":N,"worker":"<id>",
+///    "metric":X,"failure":"<FailureKind>","detail":"<text>"}
+///   {"kind":"quarantine","id":N,"detail":"<text>"}
+///   {"kind":"shutdown"}
 ///
 /// Lease state machine (per task):
 ///
@@ -42,12 +42,14 @@
 
 #include "src/search/Search.h"
 #include "src/support/Error.h"
+#include "src/support/RecordCodec.h"
 #include "src/support/RecordLog.h"
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace locus {
 namespace service {
@@ -68,8 +70,8 @@ struct QueueRecord {
   uint64_t Epoch = 0;
   uint64_t Digest = 0;     ///< Task: fnv1a of the serialized point
   std::string Worker;      ///< Lease/Heartbeat/Result
-  std::string Body;        ///< Task: point text; Result/Quarantine: detail
-  search::EvalOutcome Out; ///< Result: decoded outcome (Detail == Body)
+  std::string Body;        ///< Task: point text; Quarantine: detail
+  search::EvalOutcome Out; ///< Result: the outcome
 };
 
 /// Stable name of a record kind ("task", "lease", ...).
@@ -122,12 +124,12 @@ struct QueueState {
 struct TaskQueueOptions {
   /// Queue directory; the log lives at <Dir>/queue.rlog.
   std::string Dir;
-  /// Header payload pinning the queue to one space + search config (see
-  /// makeQueueHeader). The opener that creates the file writes it.
-  std::string Header;
+  /// The space + search config the queue is pinned to. The opener that
+  /// creates the file writes it.
+  support::RunHeader Header;
   /// Refuse a queue written under a different header (coordinator). Workers
-  /// open with false and diff the parsed header themselves for a located
-  /// diagnostic.
+  /// open with false and check the file's header() themselves. A header of
+  /// another store or format version is refused either way.
   bool RequireHeaderMatch = true;
   /// fsync per append. The queue is coordination state — a *machine* crash
   /// may lose tail records, which only costs re-evaluation time — so the
@@ -136,15 +138,8 @@ struct TaskQueueOptions {
   bool FsyncEachRecord = false;
 };
 
-/// Queue header payload: "locus-queue v1\nspace=<hex16>\nconfig=<hex16>".
-std::string makeQueueHeader(uint64_t SpaceFingerprint, uint64_t ConfigDigest);
-
-/// Parses a queue header; Ok=false when it is not a v1 queue header.
-struct QueueHeaderInfo {
-  uint64_t SpaceFingerprint = 0;
-  uint64_t ConfigDigest = 0;
-};
-Expected<QueueHeaderInfo> parseQueueHeader(const std::string &Header);
+/// First line of a queue header (support::encodeRunHeader).
+inline constexpr std::string_view QueueHeaderTag = "locus-queue v2";
 
 /// Shared handle on the queue log: append typed records, re-fold on poll.
 /// Appends are thread-safe (RecordLog's internal mutex + flock); poll takes
@@ -178,13 +173,13 @@ public:
 
   const std::string &path() const { return Path; }
   /// The header actually found in (or written to) the file.
-  const std::string &header() const { return Header; }
+  const support::RunHeader &header() const { return Header; }
 
   static std::string queueFilePath(const std::string &Dir);
 
 private:
   std::string Path;
-  std::string Header;
+  support::RunHeader Header;
   support::RecordLog Log;
 };
 

@@ -74,6 +74,9 @@ Expected<WorkerStats> runWorker(const search::Space &Space,
   using Ret = Expected<WorkerStats>;
   if (Opts.QueueDir.empty())
     return Ret::error("worker requires --queue-dir");
+  // An empty lease holder reads as "unclaimed" in the fold.
+  if (Opts.WorkerId.empty())
+    return Ret::error("worker requires a non-empty worker id");
 
   // The coordinator creates the log; wait for it rather than racing to
   // write a header of our own.
@@ -95,15 +98,11 @@ Expected<WorkerStats> runWorker(const search::Space &Space,
     return Ret::error(Q.message());
   TaskQueue Queue = std::move(*Q);
 
-  auto Header = parseQueueHeader(Queue.header());
-  if (!Header.ok())
-    return Ret::error("queue " + LogPath +
-                      " has no valid service header: " + Header.message());
-  if (Opts.SpaceFingerprint != 0 &&
-      Header->SpaceFingerprint != Opts.SpaceFingerprint) {
+  uint64_t QueueSpace = Queue.header().SpaceFingerprint;
+  if (Opts.SpaceFingerprint != 0 && QueueSpace != Opts.SpaceFingerprint) {
     std::ostringstream Os;
     Os << "queue " << LogPath << " was written for space fingerprint "
-       << std::hex << Header->SpaceFingerprint << " but this worker built "
+       << std::hex << QueueSpace << " but this worker built "
        << Opts.SpaceFingerprint << "; refusing to evaluate foreign points";
     return Ret::error(Os.str());
   }

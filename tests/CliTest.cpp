@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/support/RecordLog.h"
 #include "src/support/Subprocess.h"
 
 #include <gtest/gtest.h>
@@ -115,6 +116,10 @@ TEST_F(Cli, BadCommandLinesExitTwoNamingTheOption) {
       {{"prog.locus", "kernel.c", "--workers", "2"}, "--workers"},
       {{"--bounds-check", "kernel.c", "--budget", "5"}, "--budget"},
       {{"--discover", "kernel.c", "--serve"}, "--serve"},
+      // Search options shape only discover-and-tune.
+      {{"--discover", "kernel.c", "--budget", "5", "--journal", "x.rlog"},
+       "--budget"},
+      {{"--discover", "kernel.c", "--discover-top", "1"}, "--discover-top"},
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Args.back());
@@ -125,6 +130,40 @@ TEST_F(Cli, BadCommandLinesExitTwoNamingTheOption) {
     // Refused before any work: nothing was searched or printed.
     EXPECT_EQ(R.Stdout, "");
   }
+}
+
+TEST_F(Cli, DiscoverTuneTakesSearchOptions) {
+  // The kernel without its pragma: discovery has a nest to annotate.
+  std::string Plain = KernelText;
+  size_t Pragma = Plain.find("#pragma");
+  Plain.erase(Pragma, Plain.find("for (i") - Pragma);
+  writeFile(path("plain.c"), Plain);
+  support::SubprocessResult R =
+      run({"--discover", "plain.c", "--tune", "--budget", "5", "--machine",
+           "tiny", "--journal", "d.rlog"});
+  ASSERT_TRUE(R.ok()) << R.describe() << R.Stderr;
+  EXPECT_NE(R.Stdout.find("assessed 5"), std::string::npos) << R.Stdout;
+}
+
+TEST_F(Cli, EarlierFormatCacheDirDegradesWithOneWarning) {
+  // A cache store as the tab-separated v1 format wrote it.
+  ASSERT_EQ(::mkdir(path("cache").c_str(), 0755), 0);
+  {
+    support::RecordLogOptions LogOpts;
+    LogOpts.Header = "locus-evalcache v1";
+    auto Log = support::RecordLog::open(path("cache/evalcache.rlog"), LogOpts);
+    ASSERT_TRUE(Log.ok()) << Log.message();
+    ASSERT_TRUE(
+        Log->append("0000000000000001\tfffffffffffffffe\tNone\t1\tp\t").ok());
+  }
+  support::SubprocessResult R =
+      search({"--budget", "4", "--machine", "tiny", "--cache-dir", "cache"});
+  ASSERT_TRUE(R.ok()) << R.describe() << R.Stderr;
+  EXPECT_NE(R.Stdout.find("assessed"), std::string::npos) << R.Stdout;
+  size_t First = R.Stderr.find("warning: persistent eval cache degraded");
+  ASSERT_NE(First, std::string::npos) << R.Stderr;
+  EXPECT_EQ(R.Stderr.find("warning:", First + 1), std::string::npos)
+      << R.Stderr;
 }
 
 TEST_F(Cli, PointMissingAParameterIsRefusedWithoutJournaling) {

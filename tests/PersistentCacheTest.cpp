@@ -74,6 +74,33 @@ TEST(PersistentCache, EntryCodecRoundTrips) {
                                                 PK, O2));
 }
 
+TEST(PersistentCache, EarlierFormatStoreDegradesWithOneWarning) {
+  // A store as the tab-separated v1 format wrote it.
+  CacheFixture F;
+  ASSERT_EQ(::mkdir((F.Dir.path() + "/cache").c_str(), 0755), 0);
+  {
+    support::RecordLogOptions LogOpts;
+    LogOpts.Header = "locus-evalcache v1";
+    auto Log = support::RecordLog::open(F.storePath(), LogOpts);
+    ASSERT_TRUE(Log.ok()) << Log.message();
+    ASSERT_TRUE(
+        Log->append("0000000000000001\tfffffffffffffffe\tNone\t1\tp\t").ok());
+  }
+  for (bool ReadOnly : {false, true}) {
+    SCOPED_TRACE(ReadOnly ? "read-only" : "read-write");
+    F.Warnings.clear();
+    PersistentEvalCache C = F.make(ReadOnly);
+    EXPECT_TRUE(C.persistentStats().Degraded);
+    EXPECT_EQ(C.persistentStats().LoadedEntries, 0u);
+    ASSERT_EQ(F.Warnings.size(), 1u);
+    EXPECT_NE(F.Warnings[0].find("degraded"), std::string::npos)
+        << F.Warnings[0];
+    // The search goes on in memory.
+    C.insert(key(1), "p", EvalOutcome::success(2.0));
+    EXPECT_TRUE(C.lookup(key(1), "p").has_value());
+  }
+}
+
 TEST(PersistentCache, WarmStartAcrossInstances) {
   CacheFixture F;
   {

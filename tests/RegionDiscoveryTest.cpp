@@ -24,6 +24,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -57,10 +58,15 @@ OrchestratorOptions tinyOptions() {
 }
 
 /// A scratch file removed on scope exit.
+/// A scratch file removed on scope exit. Its name carries the running
+/// test's name and the process id, so tests running concurrently (ctest -j)
+/// never share one.
 struct TempFile {
   std::string Path;
   explicit TempFile(const std::string &Name)
-      : Path(std::string(::testing::TempDir()) + Name) {
+      : Path(std::string(::testing::TempDir()) +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+             "_" + std::to_string(::getpid()) + "_" + Name) {
     std::remove(Path.c_str());
   }
   ~TempFile() { std::remove(Path.c_str()); }
@@ -494,7 +500,10 @@ TuneResult tuneProgram(std::unique_ptr<cir::Program> CP,
   Opts.JournalPath = Journal.Path;
   Orchestrator Orch(*LP, *CP, Opts);
   auto R = Orch.runSearch();
-  EXPECT_TRUE(R.ok()) << R.message();
+  if (!R.ok()) {
+    ADD_FAILURE() << R.message();
+    return TuneResult{};
+  }
   return TuneResult{std::move(*R), slurp(Journal.Path)};
 }
 

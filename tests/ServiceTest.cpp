@@ -16,6 +16,7 @@
 #include "src/service/Coordinator.h"
 #include "src/service/TaskQueue.h"
 #include "src/service/Worker.h"
+#include "src/support/RecordCodec.h"
 #include "src/support/RecordLog.h"
 #include "src/support/Subprocess.h"
 
@@ -23,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -115,22 +117,41 @@ TEST(QueueCodec, RoundTripsEveryKind) {
 
 TEST(QueueCodec, RejectsMalformedPayloads) {
   EXPECT_FALSE(parseQueueRecord("").ok());
-  EXPECT_FALSE(parseQueueRecord("frobnicate 1 2 3").ok());
-  EXPECT_FALSE(parseQueueRecord("lease").ok());           // missing fields
-  EXPECT_FALSE(parseQueueRecord("lease x 0 w").ok());     // non-numeric id
-  EXPECT_FALSE(parseQueueRecord("lease -1 0 w").ok());    // signed id
-  EXPECT_FALSE(parseQueueRecord("result 1 0 w None 1x").ok()); // bad metric
-  EXPECT_FALSE(parseQueueRecord("result 1 0 w nope 1").ok()); // bad kind
+  EXPECT_FALSE(parseQueueRecord(R"({"kind":"frobnicate","id":1})").ok());
+  EXPECT_FALSE(parseQueueRecord(R"({"kind":"lease"})").ok()); // missing fields
+  EXPECT_FALSE(parseQueueRecord(R"({"kind":"lease","id":1,"epoch":0})").ok());
+  EXPECT_FALSE( // non-numeric id
+      parseQueueRecord(R"({"kind":"lease","id":"x","epoch":0,"worker":"w"})")
+          .ok());
+  EXPECT_FALSE( // signed id
+      parseQueueRecord(R"({"kind":"lease","id":-1,"epoch":0,"worker":"w"})")
+          .ok());
+  EXPECT_FALSE(parseQueueRecord( // bad metric
+                   R"({"kind":"result","id":1,"epoch":0,"worker":"w",)"
+                   R"("metric":1x,"failure":"None","detail":""})")
+                   .ok());
+  EXPECT_FALSE(parseQueueRecord( // bad kind
+                   R"({"kind":"result","id":1,"epoch":0,"worker":"w",)"
+                   R"("metric":1,"failure":"nope","detail":""})")
+                   .ok());
+  // The parent format's space-separated grammar is not a record at all.
+  EXPECT_FALSE(parseQueueRecord("lease 1 0 w").ok());
 }
 
 TEST(QueueCodec, HeaderRoundTrip) {
-  std::string H = makeQueueHeader(0x0123456789abcdefull, 0xfedcba9876543210ull);
-  auto Info = parseQueueHeader(H);
-  ASSERT_TRUE(Info.ok()) << Info.message();
-  EXPECT_EQ(Info->SpaceFingerprint, 0x0123456789abcdefull);
-  EXPECT_EQ(Info->ConfigDigest, 0xfedcba9876543210ull);
-  EXPECT_FALSE(parseQueueHeader("locus-journal v1\nwhatever").ok());
-  EXPECT_FALSE(parseQueueHeader("").ok());
+  support::RunHeader H{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  std::string Text = support::encodeRunHeader(QueueHeaderTag, H);
+  support::RunHeader Back;
+  ASSERT_TRUE(support::parseRunHeader(QueueHeaderTag, Text, Back));
+  EXPECT_EQ(Back, H);
+  // Another store's tag, or the queue's own earlier format, is refused.
+  EXPECT_FALSE(support::parseRunHeader(
+      QueueHeaderTag, support::encodeRunHeader("locus-journal v2", H), Back));
+  EXPECT_FALSE(support::parseRunHeader(
+      QueueHeaderTag, support::encodeRunHeader("locus-queue v1", H), Back));
+  EXPECT_FALSE(support::parseRunHeader(QueueHeaderTag, "", Back));
+  EXPECT_FALSE(support::parseRunHeader(
+      QueueHeaderTag, "locus-queue v2\nspace=xyz\nconfig=1\n", Back));
 }
 
 //===----------------------------------------------------------------------===//
@@ -270,7 +291,7 @@ TEST(TaskQueueDurability, StateSurvivesReopenAndReFold) {
   ASSERT_TRUE(Dir.valid());
   TaskQueueOptions Opts;
   Opts.Dir = Dir.path();
-  Opts.Header = makeQueueHeader(11, 22);
+  Opts.Header = support::RunHeader{11, 22};
 
   auto Q = TaskQueue::open(Opts);
   ASSERT_TRUE(Q.ok()) << Q.message();
@@ -308,22 +329,22 @@ TEST(TaskQueueDurability, RefusesAQueueWrittenUnderADifferentHeader) {
   ASSERT_TRUE(Dir.valid());
   TaskQueueOptions Opts;
   Opts.Dir = Dir.path();
-  Opts.Header = makeQueueHeader(11, 22);
+  Opts.Header = support::RunHeader{11, 22};
   ASSERT_TRUE(TaskQueue::open(Opts).ok());
 
   TaskQueueOptions Foreign = Opts;
-  Foreign.Header = makeQueueHeader(33, 44);
+  Foreign.Header = support::RunHeader{33, 44};
   auto Refused = TaskQueue::open(Foreign);
-  EXPECT_FALSE(Refused.ok());
+  ASSERT_FALSE(Refused.ok());
+  EXPECT_NE(Refused.message().find("another search"), std::string::npos)
+      << Refused.message();
 
   // Workers open without the match requirement and diff the parsed header
   // themselves; the file's actual header must be surfaced to them.
   Foreign.RequireHeaderMatch = false;
   auto Worker = TaskQueue::open(Foreign);
   ASSERT_TRUE(Worker.ok()) << Worker.message();
-  auto Info = parseQueueHeader(Worker->header());
-  ASSERT_TRUE(Info.ok());
-  EXPECT_EQ(Info->SpaceFingerprint, 11u);
+  EXPECT_EQ(Worker->header().SpaceFingerprint, 11u);
 }
 
 TEST(TaskQueueDurability, CompactDropShutdownRevivesACompletedQueue) {
@@ -331,7 +352,7 @@ TEST(TaskQueueDurability, CompactDropShutdownRevivesACompletedQueue) {
   ASSERT_TRUE(Dir.valid());
   TaskQueueOptions Opts;
   Opts.Dir = Dir.path();
-  Opts.Header = makeQueueHeader(1, 2);
+  Opts.Header = support::RunHeader{1, 2};
   auto Q = TaskQueue::open(Opts);
   ASSERT_TRUE(Q.ok()) << Q.message();
   ASSERT_TRUE(Q->announceTask(1, "p", 7).ok());
@@ -426,7 +447,9 @@ TEST(Coordinator, SecondCoordinatorOnTheSameQueueDirIsRefused) {
   EXPECT_TRUE(Third.ok()) << Third.message();
 }
 
-TEST(Coordinator, ExternalWorkerServesAssessmentsInProposalOrder) {
+/// Serves three assessments through one in-process worker named \p WorkerId
+/// and checks that the worker, not the fallback, evaluated all of them.
+void serveThroughThreadWorker(const std::string &WorkerId) {
   support::TempDir Dir("locus-svc-");
   ASSERT_TRUE(Dir.valid());
   search::Space S = twoParamSpace();
@@ -445,7 +468,7 @@ TEST(Coordinator, ExternalWorkerServesAssessmentsInProposalOrder) {
       search::LambdaObjective::OutcomeFn(toyAssess), /*ThreadSafe=*/true);
   WorkerOptions WOpts;
   WOpts.QueueDir = Dir.path();
-  WOpts.WorkerId = "thread-worker";
+  WOpts.WorkerId = WorkerId;
   WOpts.SpaceFingerprint = S.fingerprint();
   WOpts.HeartbeatSeconds = 0.05;
   WOpts.PollSeconds = 0.005;
@@ -466,12 +489,23 @@ TEST(Coordinator, ExternalWorkerServesAssessmentsInProposalOrder) {
   Worker.join();
   ASSERT_TRUE(WR.ok()) << WR.message();
   EXPECT_EQ(WR->TasksEvaluated, 3u);
+  EXPECT_EQ(WR->ClaimsLost, 0u);
 
   ServiceStats Stats = (*C)->stats();
   EXPECT_EQ(Stats.TasksSubmitted, 3u);
   EXPECT_EQ(Stats.WorkerResults, 3u);
   EXPECT_EQ(Stats.LocalFallbackEvals, 0u);
   EXPECT_FALSE(Stats.Degraded);
+}
+
+TEST(Coordinator, ExternalWorkerServesAssessmentsInProposalOrder) {
+  serveThroughThreadWorker("thread-worker");
+}
+
+TEST(Coordinator, WorkerIdWithASpaceWinsItsClaims) {
+  // The lease holder is stored verbatim, so the worker recognizes its own
+  // lease when it re-folds the queue.
+  serveThroughThreadWorker("a b");
 }
 
 TEST(Coordinator, RecoveredResultsAreServedWithoutReEvaluation) {
@@ -486,7 +520,7 @@ TEST(Coordinator, RecoveredResultsAreServedWithoutReEvaluation) {
   {
     TaskQueueOptions QOpts;
     QOpts.Dir = Dir.path();
-    QOpts.Header = makeQueueHeader(S.fingerprint(), 42);
+    QOpts.Header = support::RunHeader{S.fingerprint(), 42};
     auto Q = TaskQueue::open(QOpts);
     ASSERT_TRUE(Q.ok()) << Q.message();
     ASSERT_TRUE(Q->announceTask(1, Text, 0).ok());
@@ -633,7 +667,7 @@ TEST(Worker, RefusesAQueuePinnedToAForeignSpace) {
   ASSERT_TRUE(Dir.valid());
   TaskQueueOptions QOpts;
   QOpts.Dir = Dir.path();
-  QOpts.Header = makeQueueHeader(0xaaaa, 0xbbbb);
+  QOpts.Header = support::RunHeader{0xaaaa, 0xbbbb};
   ASSERT_TRUE(TaskQueue::open(QOpts).ok());
 
   search::Space S = twoParamSpace();
@@ -644,6 +678,58 @@ TEST(Worker, RefusesAQueuePinnedToAForeignSpace) {
   auto R = runWorker(S, Obj, WOpts);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.message().find("foreign"), std::string::npos) << R.message();
+}
+
+TEST(Worker, RefusesAnEmptyWorkerId) {
+  // An empty lease holder would read as "unclaimed" in the fold.
+  support::TempDir Dir("locus-svc-");
+  ASSERT_TRUE(Dir.valid());
+  search::Space S = twoParamSpace();
+  search::LambdaObjective Obj{search::LambdaObjective::OutcomeFn(toyAssess)};
+  WorkerOptions WOpts;
+  WOpts.QueueDir = Dir.path();
+  WOpts.WorkerId = "";
+  auto R = runWorker(S, Obj, WOpts);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.message().find("worker id"), std::string::npos) << R.message();
+}
+
+TEST(TaskQueueDurability, EarlierFormatQueueIsRefusedByCoordinatorAndWorker) {
+  support::TempDir Dir("locus-svc-");
+  ASSERT_TRUE(Dir.valid());
+  search::Space S = twoParamSpace();
+  // A queue as the space-separated v1 format wrote it.
+  char Header[96];
+  std::snprintf(Header, sizeof(Header),
+                "locus-queue v1\nspace=%016llx\nconfig=%016llx",
+                static_cast<unsigned long long>(S.fingerprint()), 42ull);
+  {
+    support::RecordLogOptions LOpts;
+    LOpts.Header = Header;
+    auto Log =
+        support::RecordLog::open(TaskQueue::queueFilePath(Dir.path()), LOpts);
+    ASSERT_TRUE(Log.ok()) << Log.message();
+    ASSERT_TRUE(
+        Log->append("task 1 0000000000000000\na = i:8\nb = i:3\n").ok());
+  }
+
+  CoordinatorOptions Opts;
+  Opts.QueueDir = Dir.path();
+  Opts.SpaceFingerprint = S.fingerprint();
+  Opts.ConfigDigest = 42;
+  auto C = Coordinator::start(Opts);
+  ASSERT_FALSE(C.ok());
+  EXPECT_NE(C.message().find("locus-queue v2"), std::string::npos)
+      << C.message();
+
+  search::LambdaObjective Obj{search::LambdaObjective::OutcomeFn(toyAssess)};
+  WorkerOptions WOpts;
+  WOpts.QueueDir = Dir.path();
+  WOpts.SpaceFingerprint = S.fingerprint();
+  auto R = runWorker(S, Obj, WOpts);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.message().find("locus-queue v2"), std::string::npos)
+      << R.message();
 }
 
 //===----------------------------------------------------------------------===//

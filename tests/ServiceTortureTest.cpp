@@ -21,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/service/TaskQueue.h"
 #include "src/support/RecordLog.h"
 #include "src/support/Subprocess.h"
 
@@ -148,8 +149,15 @@ TEST(ServiceTorture, CoordinatorKilledMidAppendResumesToTheExactResult) {
   // The crashed runs really did commit evaluation results into the queue
   // before dying — the recovered-result store the resumes fed from is
   // visible as result records in the surviving queue log.
-  EXPECT_NE(readFile(QueueDir + "/queue.rlog").find("result "),
-            std::string::npos);
+  auto Q = RecordLog::scan(QueueDir + "/queue.rlog");
+  ASSERT_TRUE(Q.ok()) << Q.message();
+  bool SawResult = false;
+  for (const std::string &Payload : Q->Records) {
+    auto R = service::parseQueueRecord(Payload);
+    ASSERT_TRUE(R.ok()) << R.message();
+    SawResult |= R->K == service::QueueRecord::Kind::Result;
+  }
+  EXPECT_TRUE(SawResult);
 }
 
 TEST(ServiceTorture, WorkerKilledMidRunIsReassignedNotLost) {
@@ -216,11 +224,15 @@ TEST(ServiceTorture, PoisonTaskIsQuarantinedAfterDistinctWorkerDeaths) {
   auto Q = RecordLog::scan(Dir.path() + "/q/queue.rlog");
   ASSERT_TRUE(Q.ok()) << Q.message();
   bool SawQuarantine = false;
-  for (const std::string &R : Q->Records)
-    if (R.compare(0, 11, "quarantine ") == 0) {
+  for (const std::string &Payload : Q->Records) {
+    auto R = service::parseQueueRecord(Payload);
+    ASSERT_TRUE(R.ok()) << R.message();
+    if (R->K == service::QueueRecord::Kind::Quarantine) {
       SawQuarantine = true;
-      EXPECT_NE(R.find("distinct workers died"), std::string::npos) << R;
+      EXPECT_NE(R->Body.find("distinct workers died"), std::string::npos)
+          << R->Body;
     }
+  }
   EXPECT_TRUE(SawQuarantine);
 }
 
