@@ -79,11 +79,11 @@ struct DependenceBuilder {
     // dependences; read-only scalars are parameters). Declarations count as
     // writes: a subscript through a loop-local temporary (Kripke's
     // "int idx = ..." address computations) is not analyzable as affine.
-    forEachStmt(const_cast<ForStmt &>(Root), [&](Stmt &S) {
-      if (auto *A = dyn_cast<AssignStmt>(&S)) {
-        if (auto *V = dyn_cast<VarRef>(A->Lhs.get()))
+    forEachStmt(Root, [&](const Stmt &S) {
+      if (const auto *A = dyn_cast<AssignStmt>(&S)) {
+        if (const auto *V = dyn_cast<VarRef>(A->Lhs.get()))
           WrittenScalars.insert(V->Name);
-      } else if (auto *D = dyn_cast<DeclStmt>(&S)) {
+      } else if (const auto *D = dyn_cast<DeclStmt>(&S)) {
         if (!D->isArray())
           WrittenScalars.insert(D->Name);
       }
@@ -207,39 +207,20 @@ struct DependenceBuilder {
   }
 
   void addReads(const Expr &E, int Leaf) {
-    switch (E.kind()) {
-    case ExprKind::ArrayRef: {
-      addAccess(E, /*IsWrite=*/false, Leaf);
-      // Indirect subscripts (array refs inside subscripts) were already
-      // rejected by toAffine in addAccess; still recurse for reads.
-      for (const auto &I : cast<ArrayRef>(&E)->Indices)
-        addReads(*I, Leaf);
-      return;
-    }
-    case ExprKind::VarRef:
-      addAccess(E, /*IsWrite=*/false, Leaf);
-      return;
-    case ExprKind::Binary:
-      addReads(*cast<BinaryExpr>(&E)->Lhs, Leaf);
-      addReads(*cast<BinaryExpr>(&E)->Rhs, Leaf);
-      return;
-    case ExprKind::Unary:
-      addReads(*cast<UnaryExpr>(&E)->Operand, Leaf);
-      return;
-    case ExprKind::Call: {
-      const auto *C = cast<CallExpr>(&E);
-      if (C->Callee != "min" && C->Callee != "max" && C->Callee != "sqrt" &&
-          C->Callee != "fabs")
-        nonAffine(E.Loc, "call to '" + C->Callee +
-                             "' is not a known pure intrinsic: dependence "
-                             "analysis unavailable");
-      for (const auto &A : C->Args)
-        addReads(*A, Leaf);
-      return;
-    }
-    default:
-      return;
-    }
+    // Indirect subscripts (array refs inside subscripts) are rejected by
+    // toAffine in addAccess; their reads are still recorded.
+    visitExpr(E, [&](const Expr &Sub) {
+      if (isa<ArrayRef>(&Sub) || isa<VarRef>(&Sub)) {
+        addAccess(Sub, /*IsWrite=*/false, Leaf);
+        return;
+      }
+      const auto *C = dyn_cast<CallExpr>(&Sub);
+      if (C && C->Callee != "min" && C->Callee != "max" &&
+          C->Callee != "sqrt" && C->Callee != "fabs")
+        nonAffine(Sub.Loc, "call to '" + C->Callee +
+                               "' is not a known pure intrinsic: dependence "
+                               "analysis unavailable");
+    });
   }
 
   /// Tests every ordered pair of accesses to the same array where at least

@@ -19,9 +19,9 @@ bool blockContains(const cir::Block &Outer, const cir::Block &Inner) {
   if (&Outer == &Inner)
     return true;
   bool Found = false;
-  cir::forEachStmt(const_cast<cir::Block &>(Outer), [&](cir::Stmt &S) {
-    if (&S == &Inner)
-      Found = true;
+  cir::forEachStmt(Outer, [&](const cir::Stmt &S) {
+    Found = Found || &S == &Inner;
+    return !Found;
   });
   return Found;
 }

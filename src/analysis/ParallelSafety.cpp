@@ -265,34 +265,14 @@ struct BodyFacts {
   std::map<std::string, support::SrcLoc> FirstWriteLoc;
 
   void noteExprReads(const Expr &E) {
-    switch (E.kind()) {
-    case ExprKind::VarRef: {
-      const auto &V = *cast<VarRef>(&E);
-      if (!LoopVars.count(V.Name))
-        ScalarNames.insert(V.Name);
-      return;
-    }
-    case ExprKind::ArrayRef: {
-      const auto &A = *cast<ArrayRef>(&E);
-      ArrayNames.insert(A.Name);
-      for (const auto &I : A.Indices)
-        noteExprReads(*I);
-      return;
-    }
-    case ExprKind::Binary:
-      noteExprReads(*cast<BinaryExpr>(&E)->Lhs);
-      noteExprReads(*cast<BinaryExpr>(&E)->Rhs);
-      return;
-    case ExprKind::Unary:
-      noteExprReads(*cast<UnaryExpr>(&E)->Operand);
-      return;
-    case ExprKind::Call:
-      for (const auto &A : cast<CallExpr>(&E)->Args)
-        noteExprReads(*A);
-      return;
-    default:
-      return;
-    }
+    visitExpr(E, [&](const Expr &Sub) {
+      if (const auto *V = dyn_cast<VarRef>(&Sub)) {
+        if (!LoopVars.count(V->Name))
+          ScalarNames.insert(V->Name);
+      } else if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
+        ArrayNames.insert(A->Name);
+      }
+    });
   }
 
   void noteWrite(const Expr &Lhs, support::SrcLoc Loc) {
@@ -308,122 +288,42 @@ struct BodyFacts {
       ArrayWritten.insert(A->Name);
       if (!FirstWriteLoc.count(A->Name))
         FirstWriteLoc[A->Name] = Loc;
-      for (const auto &I : A->Indices)
-        noteExprReads(*I);
+      forEachChild(*A, [&](const Expr &I) { noteExprReads(I); });
     }
   }
 
+  /// Notes the reads and writes of \p S's own expressions.
   void scanStmt(const Stmt &S) {
-    switch (S.kind()) {
-    case StmtKind::Block:
-      for (const auto &C : cast<Block>(&S)->Stmts)
-        scanStmt(*C);
-      return;
-    case StmtKind::For: {
-      const auto &F = *cast<ForStmt>(&S);
-      noteExprReads(*F.Init);
-      noteExprReads(*F.Bound);
-      for (const auto &C : F.Body->Stmts)
-        scanStmt(*C);
+    if (const auto *A = dyn_cast<AssignStmt>(&S)) {
+      noteWrite(*A->Lhs, A->Loc);
+      if (const auto *V = dyn_cast<VarRef>(A->Lhs.get()))
+        ScalarWrites[V->Name].push_back(A);
+      noteExprReads(*A->Rhs);
       return;
     }
-    case StmtKind::If: {
-      const auto &I = *cast<IfStmt>(&S);
-      noteExprReads(*I.Cond);
-      for (const auto &C : I.Then->Stmts)
-        scanStmt(*C);
-      if (I.Else)
-        for (const auto &C : I.Else->Stmts)
-          scanStmt(*C);
-      return;
-    }
-    case StmtKind::Assign: {
-      const auto &A = *cast<AssignStmt>(&S);
-      noteWrite(*A.Lhs, A.Loc);
-      if (const auto *V = dyn_cast<VarRef>(A.Lhs.get()))
-        ScalarWrites[V->Name].push_back(&A);
-      noteExprReads(*A.Rhs);
-      return;
-    }
-    case StmtKind::Decl: {
-      const auto &D = *cast<DeclStmt>(&S);
-      DeclaredInBody.insert(D.Name);
-      if (D.isArray())
-        ArrayNames.insert(D.Name);
+    if (const auto *D = dyn_cast<DeclStmt>(&S)) {
+      DeclaredInBody.insert(D->Name);
+      if (D->isArray())
+        ArrayNames.insert(D->Name);
       else
-        ScalarNames.insert(D.Name);
-      if (D.Init)
-        noteExprReads(*D.Init);
-      return;
+        ScalarNames.insert(D->Name);
     }
-    case StmtKind::CallStmt:
-      noteExprReads(*cast<CallStmt>(&S)->Call);
-      return;
-    }
+    forEachChild(S, [&](const Expr &E) { noteExprReads(E); });
   }
 
   static BodyFacts collect(const ForStmt &Root) {
     BodyFacts F;
     F.LoopVars.insert(Root.Var);
-    forEachStmt(const_cast<ForStmt &>(Root), [&](Stmt &S) {
-      if (auto *L = dyn_cast<ForStmt>(&S))
-        if (L != &Root) {
-          F.LoopVars.insert(L->Var);
-          F.InnerLoopVars.insert(L->Var);
-        }
+    forEachStmt(*Root.Body, [&](const Stmt &S) {
+      if (const auto *L = dyn_cast<ForStmt>(&S)) {
+        F.LoopVars.insert(L->Var);
+        F.InnerLoopVars.insert(L->Var);
+      }
     });
-    for (const auto &S : Root.Body->Stmts)
-      F.scanStmt(*S);
+    forEachStmt(*Root.Body, [&](const Stmt &S) { F.scanStmt(S); });
     return F;
   }
 };
-
-/// True when any expression of \p S (or an inner loop header writing it)
-/// mentions \p Name.
-bool stmtMentions(const Stmt &S, const std::string &Name) {
-  switch (S.kind()) {
-  case StmtKind::Block: {
-    for (const auto &C : cast<Block>(&S)->Stmts)
-      if (stmtMentions(*C, Name))
-        return true;
-    return false;
-  }
-  case StmtKind::For: {
-    const auto &F = *cast<ForStmt>(&S);
-    if (F.Var == Name || referencesVar(*F.Init, Name) ||
-        referencesVar(*F.Bound, Name))
-      return true;
-    for (const auto &C : F.Body->Stmts)
-      if (stmtMentions(*C, Name))
-        return true;
-    return false;
-  }
-  case StmtKind::If: {
-    const auto &I = *cast<IfStmt>(&S);
-    if (referencesVar(*I.Cond, Name))
-      return true;
-    for (const auto &C : I.Then->Stmts)
-      if (stmtMentions(*C, Name))
-        return true;
-    if (I.Else)
-      for (const auto &C : I.Else->Stmts)
-        if (stmtMentions(*C, Name))
-          return true;
-    return false;
-  }
-  case StmtKind::Assign: {
-    const auto &A = *cast<AssignStmt>(&S);
-    return referencesVar(*A.Lhs, Name) || referencesVar(*A.Rhs, Name);
-  }
-  case StmtKind::Decl: {
-    const auto &D = *cast<DeclStmt>(&S);
-    return D.Name == Name || (D.Init && referencesVar(*D.Init, Name));
-  }
-  case StmtKind::CallStmt:
-    return referencesVar(*cast<CallStmt>(&S)->Call, Name);
-  }
-  return false;
-}
 
 /// True when scalar \p Name is certainly written before any read in every
 /// iteration: the first top-level body statement mentioning it is a plain
@@ -431,7 +331,7 @@ bool stmtMentions(const Stmt &S, const std::string &Name) {
 /// under an if or inner loop may not execute, so it does not qualify.)
 bool writtenBeforeRead(const ForStmt &For, const std::string &Name) {
   for (const auto &S : For.Body->Stmts) {
-    if (!stmtMentions(*S, Name))
+    if (!stmtReferencesVar(*S, Name))
       continue;
     const auto *A = dyn_cast<AssignStmt>(S.get());
     if (!A)
@@ -656,39 +556,16 @@ ParallelSafetyReport analyzeParallelLoop(const ForStmt &For) {
     if (AllReduction) {
       // Any read outside the reduction updates themselves disqualifies.
       bool ReadElsewhere = false;
-      const std::function<void(const Stmt &)> Check = [&](const Stmt &S) {
-        if (const auto *A = dyn_cast<AssignStmt>(&S)) {
-          if (std::find(Writes.begin(), Writes.end(), A) != Writes.end())
-            return; // its single RHS occurrence is the reduction read
-          if (referencesVar(*A->Lhs, Name) || referencesVar(*A->Rhs, Name))
-            ReadElsewhere = true;
-          return;
-        }
-        if (stmtMentions(S, Name) && !isa<Block>(&S) && !isa<ForStmt>(&S) &&
-            !isa<IfStmt>(&S)) {
+      forEachStmt(*For.Body, [&](const Stmt &S) {
+        const auto *A = dyn_cast<AssignStmt>(&S);
+        if (A && std::find(Writes.begin(), Writes.end(), A) != Writes.end())
+          return; // its single RHS occurrence is the reduction read
+        if (const auto *D = dyn_cast<DeclStmt>(&S); D && D->Name == Name)
           ReadElsewhere = true;
-          return;
-        }
-        if (const auto *B = dyn_cast<Block>(&S)) {
-          for (const auto &C : B->Stmts)
-            Check(*C);
-        } else if (const auto *F = dyn_cast<ForStmt>(&S)) {
-          if (referencesVar(*F->Init, Name) || referencesVar(*F->Bound, Name))
-            ReadElsewhere = true;
-          for (const auto &C : F->Body->Stmts)
-            Check(*C);
-        } else if (const auto *I = dyn_cast<IfStmt>(&S)) {
-          if (referencesVar(*I->Cond, Name))
-            ReadElsewhere = true;
-          for (const auto &C : I->Then->Stmts)
-            Check(*C);
-          if (I->Else)
-            for (const auto &C : I->Else->Stmts)
-              Check(*C);
-        }
-      };
-      for (const auto &S : For.Body->Stmts)
-        Check(*S);
+        forEachChild(S, [&](const Expr &E) {
+          ReadElsewhere = ReadElsewhere || referencesVar(E, Name);
+        });
+      });
       if (!ReadElsewhere) {
         V.Class = VarClass::Reduction;
         V.Reduction = Op;

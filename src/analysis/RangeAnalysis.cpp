@@ -488,26 +488,17 @@ private:
   void checkSubscripts(const Expr &E) {
     if (!Collect || !Report)
       return;
-    switch (E.kind()) {
-    case ExprKind::IntLit:
-    case ExprKind::FloatLit:
-    case ExprKind::VarRef:
-      return;
-    case ExprKind::Unary:
-      checkSubscripts(*cast<UnaryExpr>(&E)->Operand);
-      return;
-    case ExprKind::Binary:
-      checkSubscripts(*cast<BinaryExpr>(&E)->Lhs);
-      checkSubscripts(*cast<BinaryExpr>(&E)->Rhs);
-      return;
-    case ExprKind::Call:
-      for (const auto &A : cast<CallExpr>(&E)->Args)
-        checkSubscripts(*A);
-      return;
-    case ExprKind::ArrayRef:
-      break;
-    }
-    const auto *A = cast<ArrayRef>(&E);
+    visitExpr(E, [&](const Expr &Sub) {
+      const auto *A = dyn_cast<ArrayRef>(&Sub);
+      if (A)
+        checkArrayRef(A);
+      return !A; // checkArrayRef walks the subscripts itself
+    });
+  }
+
+  /// Checks each subscript of \p A after the subscripts nested in it, so
+  /// the findings of `A[B[i]]` list B's before A's.
+  void checkArrayRef(const ArrayRef *A) {
     auto It = Extents.find(A->Name);
     for (size_t D = 0; D < A->Indices.size(); ++D) {
       const Expr &Idx = *A->Indices[D];
@@ -646,7 +637,7 @@ std::map<std::string, std::vector<int64_t>> arrayExtents(const Program &P) {
   for (const auto &G : P.Globals)
     if (G->isArray())
       Out[G->Name] = G->Dims;
-  forEachStmt(const_cast<Block &>(*P.Body), [&](Stmt &S) {
+  forEachStmt(*P.Body, [&](const Stmt &S) {
     if (const auto *D = dyn_cast<DeclStmt>(&S))
       if (D->isArray())
         Out[D->Name] = D->Dims;

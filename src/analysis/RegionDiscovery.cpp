@@ -22,11 +22,9 @@ using cir::ArrayRef;
 using cir::Block;
 using cir::BoundOp;
 using cir::CallExpr;
-using cir::CallStmt;
 using cir::DeclStmt;
 using cir::Expr;
 using cir::ForStmt;
-using cir::IfStmt;
 using cir::Program;
 using cir::Stmt;
 using cir::StmtPtr;
@@ -51,90 +49,6 @@ bool isIntrinsicCall(const std::string &Callee) {
 }
 
 //===----------------------------------------------------------------------===//
-// Const traversal helpers (AstUtils' forEachStmt/forEachExpr are mutating).
-//===----------------------------------------------------------------------===//
-
-void visitExpr(const Expr &E, const std::function<void(const Expr &)> &Fn) {
-  Fn(E);
-  switch (E.kind()) {
-  case cir::ExprKind::ArrayRef:
-    for (const auto &I : cast<ArrayRef>(&E)->Indices)
-      visitExpr(*I, Fn);
-    break;
-  case cir::ExprKind::Binary: {
-    const auto *B = cast<cir::BinaryExpr>(&E);
-    visitExpr(*B->Lhs, Fn);
-    visitExpr(*B->Rhs, Fn);
-    break;
-  }
-  case cir::ExprKind::Unary:
-    visitExpr(*cast<cir::UnaryExpr>(&E)->Operand, Fn);
-    break;
-  case cir::ExprKind::Call:
-    for (const auto &A : cast<CallExpr>(&E)->Args)
-      visitExpr(*A, Fn);
-    break;
-  default:
-    break;
-  }
-}
-
-void visitStmt(const Stmt &S, const std::function<void(const Stmt &)> &Fn) {
-  Fn(S);
-  switch (S.kind()) {
-  case cir::StmtKind::Block:
-    for (const auto &Sub : cast<Block>(&S)->Stmts)
-      visitStmt(*Sub, Fn);
-    break;
-  case cir::StmtKind::For:
-    visitStmt(*cast<ForStmt>(&S)->Body, Fn);
-    break;
-  case cir::StmtKind::If: {
-    const auto *If = cast<IfStmt>(&S);
-    visitStmt(*If->Then, Fn);
-    if (If->Else)
-      visitStmt(*If->Else, Fn);
-    break;
-  }
-  default:
-    break;
-  }
-}
-
-/// Visits every expression in the subtree, including loop bounds and
-/// if conditions.
-void visitAllExprs(const Stmt &S, const std::function<void(const Expr &)> &Fn) {
-  visitStmt(S, [&](const Stmt &Sub) {
-    switch (Sub.kind()) {
-    case cir::StmtKind::For: {
-      const auto *For = cast<ForStmt>(&Sub);
-      visitExpr(*For->Init, Fn);
-      visitExpr(*For->Bound, Fn);
-      break;
-    }
-    case cir::StmtKind::If:
-      visitExpr(*cast<IfStmt>(&Sub)->Cond, Fn);
-      break;
-    case cir::StmtKind::Assign: {
-      const auto *A = cast<cir::AssignStmt>(&Sub);
-      visitExpr(*A->Lhs, Fn);
-      visitExpr(*A->Rhs, Fn);
-      break;
-    }
-    case cir::StmtKind::Decl:
-      if (const auto *D = cast<DeclStmt>(&Sub); D->Init)
-        visitExpr(*D->Init, Fn);
-      break;
-    case cir::StmtKind::CallStmt:
-      visitExpr(*cast<CallStmt>(&Sub)->Call, Fn);
-      break;
-    default:
-      break;
-    }
-  });
-}
-
-//===----------------------------------------------------------------------===//
 // Scan: outermost loops, in source order
 //===----------------------------------------------------------------------===//
 
@@ -146,40 +60,39 @@ struct ScanHit {
 /// Walks \p B in source order collecting outermost loops. Descends through
 /// plain blocks and both branches of if statements, never into loop bodies,
 /// and never into blocks that already carry a region name (those are
-/// reported through \p OnRegion).
+/// reported through \p OnRegion; \p B itself may be one).
 void scanBlock(const Block &B, std::vector<ScanHit> &Hits,
                const std::function<void(const Block &)> &OnRegion) {
-  for (const StmtPtr &S : B.Stmts) {
-    if (const auto *For = cir::dyn_cast<ForStmt>(S.get())) {
+  cir::forEachStmt(B, [&](const Stmt &S) {
+    if (const auto *For = cir::dyn_cast<ForStmt>(&S)) {
       Hits.push_back(ScanHit{For});
-    } else if (const auto *Blk = cir::dyn_cast<Block>(S.get())) {
-      if (!Blk->RegionName.empty())
-        OnRegion(*Blk);
-      else
-        scanBlock(*Blk, Hits, OnRegion);
-    } else if (const auto *If = cir::dyn_cast<IfStmt>(S.get())) {
-      scanBlock(*If->Then, Hits, OnRegion);
-      if (If->Else)
-        scanBlock(*If->Else, Hits, OnRegion);
+      return false;
     }
-  }
+    const auto *Blk = cir::dyn_cast<Block>(&S);
+    if (Blk && Blk != &B && !Blk->RegionName.empty()) {
+      OnRegion(*Blk);
+      return false;
+    }
+    return true;
+  });
 }
 
-/// Mutable mirror of scanBlock: the owning slot of every outermost loop, in
-/// the identical order (so ScanIndex matches between scan and annotate).
-void scanSlots(Block &B, std::vector<StmtPtr *> &Slots) {
-  for (StmtPtr &S : B.Stmts) {
-    if (cir::isa<ForStmt>(S.get())) {
-      Slots.push_back(&S);
-    } else if (auto *Blk = cir::dyn_cast<Block>(S.get())) {
-      if (Blk->RegionName.empty())
-        scanSlots(*Blk, Slots);
-    } else if (auto *If = cir::dyn_cast<IfStmt>(S.get())) {
-      scanSlots(*If->Then, Slots);
-      if (If->Else)
-        scanSlots(*If->Else, Slots);
-    }
-  }
+/// The owning slot of every loop scanBlock finds in \p Body, in its order
+/// (so ScanIndex matches between scan and annotate). A loop always sits in
+/// some block's statement list.
+std::vector<StmtPtr *> scanSlots(Block &Body) {
+  std::map<const Stmt *, StmtPtr *> SlotOf;
+  cir::forEachStmt(Body, [&](Stmt &S) {
+    if (auto *Blk = cir::dyn_cast<Block>(&S))
+      for (StmtPtr &Sub : Blk->Stmts)
+        SlotOf[Sub.get()] = &Sub;
+  });
+  std::vector<ScanHit> Hits;
+  scanBlock(Body, Hits, [](const Block &) {});
+  std::vector<StmtPtr *> Slots;
+  for (const ScanHit &H : Hits)
+    Slots.push_back(SlotOf.at(H.Root));
+  return Slots;
 }
 
 //===----------------------------------------------------------------------===//
@@ -190,7 +103,7 @@ void scanSlots(Block &B, std::vector<StmtPtr *> &Slots) {
 /// call expression that is not a pure intrinsic.
 std::optional<support::Diag> findSideEffect(const ForStmt &Root) {
   std::optional<support::Diag> Found;
-  visitAllExprs(Root, [&](const Expr &E) {
+  cir::visitExprs(Root, [&](const Expr &E) {
     if (Found)
       return;
     if (const auto *Call = cir::dyn_cast<CallExpr>(&E)) {
@@ -227,7 +140,7 @@ bool triageBoundOk(const Expr &E) {
 /// if any: non-affine init/bound expression or a non-positive step.
 std::optional<support::Diag> findBadBound(const ForStmt &Root) {
   std::optional<support::Diag> Found;
-  visitStmt(Root, [&](const Stmt &S) {
+  cir::forEachStmt(Root, [&](const Stmt &S) {
     if (Found)
       return;
     const auto *For = cir::dyn_cast<ForStmt>(&S);
@@ -353,7 +266,7 @@ std::vector<int64_t> declaredDims(const Program &P, const std::string &Name) {
   if (const DeclStmt *G = P.findGlobal(Name))
     return G->Dims;
   std::vector<int64_t> Dims;
-  visitStmt(*P.Body, [&](const Stmt &S) {
+  cir::forEachStmt(*P.Body, [&](const Stmt &S) {
     if (const auto *D = cir::dyn_cast<DeclStmt>(&S))
       if (D->Name == Name && !Dims.size())
         Dims = D->Dims;
@@ -369,7 +282,7 @@ uint64_t estimateFootprint(const Program &P, const ForStmt &Root) {
   // The iteration box; bail out unless every loop is concrete.
   std::map<std::string, std::pair<int64_t, int64_t>> Box;
   bool Concrete = true;
-  visitStmt(Root, [&](const Stmt &S) {
+  cir::forEachStmt(Root, [&](const Stmt &S) {
     const auto *For = cir::dyn_cast<ForStmt>(&S);
     if (!For || !Concrete)
       return;
@@ -388,7 +301,7 @@ uint64_t estimateFootprint(const Program &P, const ForStmt &Root) {
   // Per array, per dimension, the widest extent seen across references.
   std::map<std::string, std::vector<uint64_t>> Extents;
   std::set<std::string> Fallback; // arrays needing declared-size fallback
-  visitAllExprs(Root, [&](const Expr &E) {
+  cir::visitExprs(Root, [&](const Expr &E) {
     const auto *Ref = cir::dyn_cast<ArrayRef>(&E);
     if (!Ref)
       return;
@@ -628,8 +541,7 @@ std::string DiscoveryReport::render() const {
 
 Expected<int> annotateRegions(Program &P, const DiscoveryReport &Report,
                               int TopN) {
-  std::vector<StmtPtr *> Slots;
-  scanSlots(*P.Body, Slots);
+  std::vector<StmtPtr *> Slots = scanSlots(*P.Body);
   if (static_cast<int>(Slots.size()) != Report.NumScanned)
     return Expected<int>::error(
         "program shape does not match discovery report: expected " +

@@ -52,56 +52,38 @@ private:
     return E.Loc.valid() ? E.Loc : CurStmtLoc;
   }
 
+  /// Resolves every name in \p E. Callee names are intrinsics/harness
+  /// functions known to the evaluator; only a call's arguments are checked.
   void checkExpr(const Expr &E) {
-    switch (E.kind()) {
-    case ExprKind::IntLit:
-    case ExprKind::FloatLit:
-      return;
-    case ExprKind::VarRef: {
-      const auto *V = cast<VarRef>(&E);
-      // Whole-array references (harness call arguments) resolve like any
-      // other name; rank misuse of a bare name is not flagged here.
-      if (!lookup(V->Name))
-        Diags.error(locOf(E), CurRegion,
-                    "identifier '" + V->Name +
-                        "' does not resolve to any declaration");
-      return;
-    }
-    case ExprKind::ArrayRef: {
-      const auto *A = cast<ArrayRef>(&E);
+    visitExpr(E, [&](const Expr &Sub) {
+      if (const auto *V = dyn_cast<VarRef>(&Sub)) {
+        // Whole-array references (harness call arguments) resolve like any
+        // other name; rank misuse of a bare name is not flagged here.
+        if (!lookup(V->Name))
+          Diags.error(locOf(Sub), CurRegion,
+                      "identifier '" + V->Name +
+                          "' does not resolve to any declaration");
+        return;
+      }
+      const auto *A = dyn_cast<ArrayRef>(&Sub);
+      if (!A)
+        return;
       if (const int *Rank = lookup(A->Name)) {
         if (*Rank == 0)
-          Diags.error(locOf(E), CurRegion,
+          Diags.error(locOf(Sub), CurRegion,
                       "scalar '" + A->Name + "' is subscripted like an array");
         else if (*Rank != static_cast<int>(A->Indices.size()))
-          Diags.error(locOf(E), CurRegion,
+          Diags.error(locOf(Sub), CurRegion,
                       "array '" + A->Name + "' is accessed with " +
                           std::to_string(A->Indices.size()) +
                           " subscripts but declared with rank " +
                           std::to_string(*Rank));
       } else {
-        Diags.error(locOf(E), CurRegion,
+        Diags.error(locOf(Sub), CurRegion,
                     "array '" + A->Name +
                         "' does not resolve to any declaration");
       }
-      for (const auto &I : A->Indices)
-        checkExpr(*I);
-      return;
-    }
-    case ExprKind::Binary:
-      checkExpr(*cast<BinaryExpr>(&E)->Lhs);
-      checkExpr(*cast<BinaryExpr>(&E)->Rhs);
-      return;
-    case ExprKind::Unary:
-      checkExpr(*cast<UnaryExpr>(&E)->Operand);
-      return;
-    case ExprKind::Call:
-      // Callee names are intrinsics/harness functions known to the
-      // evaluator; only the arguments are checked.
-      for (const auto &A : cast<CallExpr>(&E)->Args)
-        checkExpr(*A);
-      return;
-    }
+    });
   }
 
   void checkBlock(const Block &B, bool NewScope = true) {
@@ -189,7 +171,7 @@ private:
 
   void checkRegionLabels() {
     std::map<std::string, int> Seen;
-    forEachStmt(const_cast<Block &>(*Prog.Body), [&](Stmt &S) {
+    forEachStmt(*Prog.Body, [&](const Stmt &S) {
       const auto *B = dyn_cast<Block>(&S);
       if (!B || B->RegionName.empty())
         return;

@@ -27,23 +27,12 @@ std::vector<ForStmt *> perfectNest(ForStmt &Root) {
 
 int loopNestDepth(const ForStmt &Root) {
   int MaxChild = 0;
-  const std::function<int(const Block &)> BlockDepth =
-      [&](const Block &B) -> int {
-    int Max = 0;
-    for (const auto &S : B.Stmts) {
-      if (const auto *For = dyn_cast<ForStmt>(S.get()))
-        Max = std::max(Max, loopNestDepth(*For));
-      else if (const auto *Sub = dyn_cast<Block>(S.get()))
-        Max = std::max(Max, BlockDepth(*Sub));
-      else if (const auto *If = dyn_cast<IfStmt>(S.get())) {
-        Max = std::max(Max, BlockDepth(*If->Then));
-        if (If->Else)
-          Max = std::max(Max, BlockDepth(*If->Else));
-      }
-    }
-    return Max;
-  };
-  MaxChild = BlockDepth(*Root.Body);
+  forEachStmt(*Root.Body, [&](const Stmt &S) {
+    const auto *For = dyn_cast<ForStmt>(&S);
+    if (For)
+      MaxChild = std::max(MaxChild, loopNestDepth(*For));
+    return !For;
+  });
   return 1 + MaxChild;
 }
 
@@ -66,38 +55,13 @@ bool isPerfectNest(const ForStmt &Root) {
 
 ExprPtr substituteVar(ExprPtr E, const std::string &Name,
                       const Expr &Replacement) {
-  switch (E->kind()) {
-  case ExprKind::VarRef:
-    if (cast<VarRef>(E.get())->Name == Name)
-      return Replacement.clone();
-    return E;
-  case ExprKind::IntLit:
-  case ExprKind::FloatLit:
-    return E;
-  case ExprKind::ArrayRef: {
-    auto *A = cast<ArrayRef>(E.get());
-    for (auto &I : A->Indices)
-      I = substituteVar(std::move(I), Name, Replacement);
-    return E;
-  }
-  case ExprKind::Binary: {
-    auto *B = cast<BinaryExpr>(E.get());
-    B->Lhs = substituteVar(std::move(B->Lhs), Name, Replacement);
-    B->Rhs = substituteVar(std::move(B->Rhs), Name, Replacement);
-    return E;
-  }
-  case ExprKind::Unary: {
-    auto *U = cast<UnaryExpr>(E.get());
-    U->Operand = substituteVar(std::move(U->Operand), Name, Replacement);
-    return E;
-  }
-  case ExprKind::Call: {
-    auto *C = cast<CallExpr>(E.get());
-    for (auto &A : C->Args)
-      A = substituteVar(std::move(A), Name, Replacement);
-    return E;
-  }
-  }
+  rewriteExpr(E, [&](ExprPtr &Sub) {
+    const auto *V = dyn_cast<VarRef>(Sub.get());
+    if (!V || V->Name != Name)
+      return true;
+    Sub = Replacement.clone();
+    return false;
+  });
   return E;
 }
 
@@ -265,74 +229,40 @@ bool programEquals(const Program &A, const Program &B) {
 }
 
 void collectVars(const Expr &E, std::set<std::string> &Out) {
-  switch (E.kind()) {
-  case ExprKind::VarRef:
-    Out.insert(cast<VarRef>(&E)->Name);
-    return;
-  case ExprKind::IntLit:
-  case ExprKind::FloatLit:
-    return;
-  case ExprKind::ArrayRef:
-    for (const auto &I : cast<ArrayRef>(&E)->Indices)
-      collectVars(*I, Out);
-    return;
-  case ExprKind::Binary:
-    collectVars(*cast<BinaryExpr>(&E)->Lhs, Out);
-    collectVars(*cast<BinaryExpr>(&E)->Rhs, Out);
-    return;
-  case ExprKind::Unary:
-    collectVars(*cast<UnaryExpr>(&E)->Operand, Out);
-    return;
-  case ExprKind::Call:
-    for (const auto &A : cast<CallExpr>(&E)->Args)
-      collectVars(*A, Out);
-    return;
-  }
+  visitExpr(E, [&](const Expr &Sub) {
+    if (const auto *V = dyn_cast<VarRef>(&Sub))
+      Out.insert(V->Name);
+  });
 }
 
 void collectArrays(const Expr &E, std::set<std::string> &Out) {
-  switch (E.kind()) {
-  case ExprKind::ArrayRef: {
-    const auto *A = cast<ArrayRef>(&E);
-    Out.insert(A->Name);
-    for (const auto &I : A->Indices)
-      collectArrays(*I, Out);
-    return;
-  }
-  case ExprKind::Binary:
-    collectArrays(*cast<BinaryExpr>(&E)->Lhs, Out);
-    collectArrays(*cast<BinaryExpr>(&E)->Rhs, Out);
-    return;
-  case ExprKind::Unary:
-    collectArrays(*cast<UnaryExpr>(&E)->Operand, Out);
-    return;
-  case ExprKind::Call:
-    for (const auto &A : cast<CallExpr>(&E)->Args)
-      collectArrays(*A, Out);
-    return;
-  default:
-    return;
-  }
+  visitExpr(E, [&](const Expr &Sub) {
+    if (const auto *A = dyn_cast<ArrayRef>(&Sub))
+      Out.insert(A->Name);
+  });
 }
 
 bool referencesVar(const Expr &E, const std::string &Name) {
-  std::set<std::string> Vars;
-  collectVars(E, Vars);
-  return Vars.count(Name) != 0;
+  bool Found = false;
+  visitExpr(E, [&](const Expr &Sub) {
+    const auto *V = dyn_cast<VarRef>(&Sub);
+    Found = Found || (V && V->Name == Name);
+    return !Found;
+  });
+  return Found;
 }
 
 bool stmtReferencesVar(const Stmt &S, const std::string &Name) {
   bool Found = false;
-  forEachStmt(const_cast<Stmt &>(S), [&](Stmt &Sub) {
-    if (Found)
-      return;
-    forEachExpr(Sub, [&](ExprPtr &E) {
-      if (!Found && referencesVar(*E, Name))
-        Found = true;
+  forEachStmt(S, [&](const Stmt &Sub) {
+    if (const auto *For = dyn_cast<ForStmt>(&Sub))
+      Found = Found || For->Var == Name;
+    if (const auto *D = dyn_cast<DeclStmt>(&Sub))
+      Found = Found || D->Name == Name;
+    forEachChild(Sub, [&](const Expr &E) {
+      Found = Found || referencesVar(E, Name);
     });
-    if (auto *For = dyn_cast<ForStmt>(&Sub))
-      if (For->Var == Name)
-        Found = true;
+    return !Found;
   });
   return Found;
 }
@@ -400,11 +330,10 @@ std::optional<int64_t> evalConstInt(const Expr &E) {
 }
 
 ExprPtr foldExpr(ExprPtr E) {
+  forEachChild(*E, [](ExprPtr &C) { C = foldExpr(std::move(C)); });
   switch (E->kind()) {
   case ExprKind::Binary: {
     auto *B = cast<BinaryExpr>(E.get());
-    B->Lhs = foldExpr(std::move(B->Lhs));
-    B->Rhs = foldExpr(std::move(B->Rhs));
     if (std::optional<int64_t> V = evalConstInt(*E))
       return makeInt(*V);
     std::optional<int64_t> L = evalConstInt(*B->Lhs);
@@ -426,17 +355,12 @@ ExprPtr foldExpr(ExprPtr E) {
       return makeInt(0);
     return E;
   }
-  case ExprKind::Unary: {
-    auto *U = cast<UnaryExpr>(E.get());
-    U->Operand = foldExpr(std::move(U->Operand));
+  case ExprKind::Unary:
     if (std::optional<int64_t> V = evalConstInt(*E))
       return makeInt(*V);
     return E;
-  }
   case ExprKind::Call: {
     auto *C = cast<CallExpr>(E.get());
-    for (auto &A : C->Args)
-      A = foldExpr(std::move(A));
     if ((C->Callee == "min" || C->Callee == "max") && C->Args.size() == 2) {
       if (std::optional<int64_t> V = evalConstInt(*E))
         return makeInt(*V);
@@ -446,100 +370,26 @@ ExprPtr foldExpr(ExprPtr E) {
     }
     return E;
   }
-  case ExprKind::ArrayRef: {
-    auto *A = cast<ArrayRef>(E.get());
-    for (auto &I : A->Indices)
-      I = foldExpr(std::move(I));
-    return E;
-  }
   default:
     return E;
   }
 }
 
 void collectOuterLoops(const Block &B, std::vector<const ForStmt *> &Out) {
-  for (const StmtPtr &S : B.Stmts) {
-    if (const auto *For = dyn_cast<ForStmt>(S.get()))
+  forEachStmt(B, [&](const Stmt &S) {
+    if (const auto *For = dyn_cast<ForStmt>(&S)) {
       Out.push_back(For);
-    else if (const auto *Blk = dyn_cast<Block>(S.get()))
-      collectOuterLoops(*Blk, Out);
-  }
+      return false;
+    }
+    return isa<Block>(&S);
+  });
 }
 
 void collectAllLoops(const Block &B, std::vector<const ForStmt *> &Out) {
-  for (const StmtPtr &S : B.Stmts) {
-    if (const auto *For = dyn_cast<ForStmt>(S.get())) {
+  forEachStmt(B, [&](const Stmt &S) {
+    if (const auto *For = dyn_cast<ForStmt>(&S))
       Out.push_back(For);
-      collectAllLoops(*For->Body, Out);
-    } else if (const auto *Blk = dyn_cast<Block>(S.get())) {
-      collectAllLoops(*Blk, Out);
-    } else if (const auto *If = dyn_cast<IfStmt>(S.get())) {
-      collectAllLoops(*If->Then, Out);
-      if (If->Else)
-        collectAllLoops(*If->Else, Out);
-    }
-  }
-}
-
-void forEachExpr(Stmt &S, const std::function<void(ExprPtr &)> &Fn) {
-  switch (S.kind()) {
-  case StmtKind::Block:
-    for (auto &Sub : cast<Block>(&S)->Stmts)
-      forEachExpr(*Sub, Fn);
-    return;
-  case StmtKind::For: {
-    auto *F = cast<ForStmt>(&S);
-    Fn(F->Init);
-    Fn(F->Bound);
-    forEachExpr(*F->Body, Fn);
-    return;
-  }
-  case StmtKind::If: {
-    auto *I = cast<IfStmt>(&S);
-    Fn(I->Cond);
-    forEachExpr(*I->Then, Fn);
-    if (I->Else)
-      forEachExpr(*I->Else, Fn);
-    return;
-  }
-  case StmtKind::Assign: {
-    auto *A = cast<AssignStmt>(&S);
-    Fn(A->Lhs);
-    Fn(A->Rhs);
-    return;
-  }
-  case StmtKind::Decl: {
-    auto *D = cast<DeclStmt>(&S);
-    if (D->Init)
-      Fn(D->Init);
-    return;
-  }
-  case StmtKind::CallStmt:
-    Fn(cast<CallStmt>(&S)->Call);
-    return;
-  }
-}
-
-void forEachStmt(Stmt &S, const std::function<void(Stmt &)> &Fn) {
-  Fn(S);
-  switch (S.kind()) {
-  case StmtKind::Block:
-    for (auto &Sub : cast<Block>(&S)->Stmts)
-      forEachStmt(*Sub, Fn);
-    return;
-  case StmtKind::For:
-    forEachStmt(*cast<ForStmt>(&S)->Body, Fn);
-    return;
-  case StmtKind::If: {
-    auto *I = cast<IfStmt>(&S);
-    forEachStmt(*I->Then, Fn);
-    if (I->Else)
-      forEachStmt(*I->Else, Fn);
-    return;
-  }
-  default:
-    return;
-  }
+  });
 }
 
 uint64_t hashRegion(const Block &Region) {

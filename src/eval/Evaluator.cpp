@@ -416,7 +416,7 @@ struct CompiledProgram {
     //  - an unanalyzable loop vectorizes only when the programmer asserts
     //    independence with ivdep / vector always.
     bool HasInnerLoop = false;
-    forEachStmt(*const_cast<Block *>(For.Body.get()), [&](Stmt &S) {
+    forEachStmt(*For.Body, [&](const Stmt &S) {
       if (isa<ForStmt>(&S))
         HasInnerLoop = true;
     });
@@ -433,35 +433,25 @@ struct CompiledProgram {
       return; // unprovable and no ivdep: the compiler stays scalar
     }
     bool AllUnitStride = true;
-    forEachStmt(*const_cast<Block *>(For.Body.get()), [&](Stmt &S) {
-      forEachExpr(S, [&](ExprPtr &E) {
-        const std::function<void(const Expr &)> Scan = [&](const Expr &Sub) {
-          if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
-            for (size_t I = 0; I < A->Indices.size(); ++I) {
-              std::optional<analysis::AffineExpr> Aff =
-                  analysis::toAffine(*A->Indices[I]);
-              int64_t Coeff = Aff ? Aff->coeff(For.Var) : 1;
-              if (!Aff && referencesVar(*A->Indices[I], For.Var))
-                AllUnitStride = false;
-              else if (I + 1 == A->Indices.size()) {
-                if (Coeff != 0 && Coeff != 1)
-                  AllUnitStride = false;
-              } else if (Coeff != 0) {
-                AllUnitStride = false;
-              }
-            }
-          } else if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
-            Scan(*B->Lhs);
-            Scan(*B->Rhs);
-          } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-            Scan(*U->Operand);
-          } else if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-            for (const auto &Arg : C->Args)
-              Scan(*Arg);
-          }
-        };
-        Scan(*E);
-      });
+    // Only the subscripts of outermost array references are judged.
+    visitExprs(*For.Body, [&](const Expr &E) {
+      const auto *A = dyn_cast<ArrayRef>(&E);
+      if (!A)
+        return true;
+      for (size_t I = 0; I < A->Indices.size(); ++I) {
+        std::optional<analysis::AffineExpr> Aff =
+            analysis::toAffine(*A->Indices[I]);
+        int64_t Coeff = Aff ? Aff->coeff(For.Var) : 1;
+        if (!Aff && referencesVar(*A->Indices[I], For.Var))
+          AllUnitStride = false;
+        else if (I + 1 == A->Indices.size()) {
+          if (Coeff != 0 && Coeff != 1)
+            AllUnitStride = false;
+        } else if (Coeff != 0) {
+          AllUnitStride = false;
+        }
+      }
+      return false;
     });
     double W = static_cast<double>(Opts.Machine.VectorWidthDoubles);
     Out.VecScale = AllUnitStride ? 1.0 / W : 2.0 / W;

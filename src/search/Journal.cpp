@@ -160,26 +160,22 @@ SearchJournal::open(const std::string &Path, JournalSync Sync,
 
   support::RecordLogOptions Opts;
   Opts.Header = encodeHeader(Header);
-  // Compared structurally below for located diagnostics, not byte-wise.
-  Opts.RequireHeaderMatch = false;
+  // Compared structurally for located diagnostics, not byte-wise.
+  Opts.CheckHeader = [&](const std::string &Text) {
+    JournalHeader OnDisk;
+    if (!SearchJournal::parseHeader(Text, OnDisk))
+      return Status::error("journal " + Path +
+                           " has an unrecognized header (written by an "
+                           "incompatible version?); remove it to start fresh");
+    if (!(OnDisk == Header))
+      return Status::error(headerMismatchError(Path, OnDisk, Header));
+    return Status::success();
+  };
   Opts.FsyncEachRecord = Sync == JournalSync::Full;
-  support::RecordLogScan Recovery;
-  Expected<support::RecordLog> Log =
-      support::RecordLog::open(Path, Opts, &Recovery);
+  Expected<support::RecordLog> Log = support::RecordLog::open(Path, Opts);
   if (!Log.ok())
     return Expected<SearchJournal>::error("cannot open journal: " +
                                           Log.message());
-  if (!Recovery.Header.empty()) {
-    JournalHeader OnDisk;
-    if (!SearchJournal::parseHeader(Recovery.Header, OnDisk))
-      return Expected<SearchJournal>::error(
-          "journal " + Path +
-          " has an unrecognized header (written by an incompatible "
-          "version?); remove it to start fresh");
-    if (!(OnDisk == Header))
-      return Expected<SearchJournal>::error(
-          headerMismatchError(Path, OnDisk, Header));
-  }
   SearchJournal J;
   J.Log = std::move(*Log);
   return J;

@@ -191,16 +191,6 @@ void Coordinator::shutdown() {
   Cv.notify_all();
   if (Supervisor.joinable())
     Supervisor.join();
-  // Wind the fleet down: the shutdown record retires polite workers, the
-  // SIGTERM reaches ones parked mid-evaluation, the ChildProcess destructor
-  // SIGKILLs whatever is left.
-  for (Slot &S : Slots)
-    if (S.Spawned && S.Proc.running())
-      S.Proc.signalGroup(SIGTERM);
-  for (Slot &S : Slots)
-    if (S.Spawned)
-      (void)S.Proc.waitExit(2.0);
-  Slots.clear();
 }
 
 void Coordinator::superviseLoop() {
@@ -224,6 +214,18 @@ void Coordinator::superviseLoop() {
   pollQueue();
   sweepFulfill();
   Cv.notify_all();
+  // Wind the fleet down here, on the thread that spawned it: a child's
+  // parent-death signal fires when this thread exits, so the grace period
+  // must end first. The shutdown record retires polite workers, the SIGTERM
+  // reaches ones parked mid-evaluation, the ChildProcess destructor
+  // SIGKILLs whatever is left.
+  for (Slot &S : Slots)
+    if (S.Spawned && S.Proc.running())
+      S.Proc.signalGroup(SIGTERM);
+  for (Slot &S : Slots)
+    if (S.Spawned)
+      (void)S.Proc.waitExit(2.0);
+  Slots.clear();
 }
 
 void Coordinator::pollQueue() {

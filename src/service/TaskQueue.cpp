@@ -230,28 +230,29 @@ Expected<TaskQueue> TaskQueue::open(const TaskQueueOptions &Opts) {
   Q.Path = queueFilePath(Opts.Dir);
   support::RecordLogOptions LOpts;
   LOpts.Header = support::encodeRunHeader(QueueHeaderTag, Opts.Header);
-  // Compared structurally below, for a diagnostic that names the mismatch.
-  LOpts.RequireHeaderMatch = false;
+  // Compared structurally, for a diagnostic that names the mismatch.
+  Q.Header = Opts.Header;
+  LOpts.CheckHeader = [&](const std::string &Text) {
+    if (!support::parseRunHeader(QueueHeaderTag, Text, Q.Header))
+      return Status::error(
+          "queue " + Q.Path + " has no " + std::string(QueueHeaderTag) +
+          " header (found '" + Text.substr(0, Text.find('\n')) +
+          "'): it was written by another tool or version; remove the queue "
+          "dir to start fresh");
+    if (Opts.RequireHeaderMatch && !(Q.Header == Opts.Header))
+      return Status::error(
+          "queue " + Q.Path + " belongs to another search (space " +
+          support::hex16(Q.Header.SpaceFingerprint) + ", config " +
+          support::hex16(Q.Header.ConfigDigest) + "; this run has " +
+          support::hex16(Opts.Header.SpaceFingerprint) + ", " +
+          support::hex16(Opts.Header.ConfigDigest) +
+          "); remove the queue dir or serve another one");
+    return Status::success();
+  };
   LOpts.FsyncEachRecord = Opts.FsyncEachRecord;
-  support::RecordLogScan Recovery;
-  auto Log = support::RecordLog::open(Q.Path, LOpts, &Recovery);
+  auto Log = support::RecordLog::open(Q.Path, LOpts);
   if (!Log.ok())
     return E::error(Log.message());
-  Q.Header = Opts.Header;
-  if (!Recovery.Header.empty() &&
-      !support::parseRunHeader(QueueHeaderTag, Recovery.Header, Q.Header))
-    return E::error("queue " + Q.Path + " has no " +
-                    std::string(QueueHeaderTag) + " header (found '" +
-                    Recovery.Header.substr(0, Recovery.Header.find('\n')) +
-                    "'): it was written by another tool or version; remove "
-                    "the queue dir to start fresh");
-  if (Opts.RequireHeaderMatch && !(Q.Header == Opts.Header))
-    return E::error("queue " + Q.Path + " belongs to another search (space " +
-                    support::hex16(Q.Header.SpaceFingerprint) + ", config " +
-                    support::hex16(Q.Header.ConfigDigest) + "; this run has " +
-                    support::hex16(Opts.Header.SpaceFingerprint) + ", " +
-                    support::hex16(Opts.Header.ConfigDigest) +
-                    "); remove the queue dir or serve another one");
   Q.Log = std::move(*Log);
   return Q;
 }

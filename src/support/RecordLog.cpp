@@ -342,6 +342,19 @@ Expected<RecordLog> RecordLog::open(const std::string &Path,
     Expected<RecordLogScan> Scan = parseImage(Image);
     if (!Scan.ok())
       return Fail(Path + ": " + Scan.message());
+    // Judge the header before recovery truncates anything. A torn header
+    // (GoodBytes == 0) has no payload to judge; it is rebuilt below.
+    if (Scan->GoodBytes > 0) {
+      Status Verdict;
+      if (Opts.CheckHeader)
+        Verdict = Opts.CheckHeader(Scan->Header);
+      else if (Scan->Header != Opts.Header)
+        Verdict = Status::error(Path + ": header mismatch (the file was "
+                                       "written with a different header "
+                                       "payload)");
+      if (!Verdict.ok())
+        return Fail(Verdict.message());
+    }
     if (Scan->TornTail) {
       // Recovery: drop the torn/corrupt tail. When even the header is torn
       // (GoodBytes == 0) the file is rebuilt from the magic up.
@@ -357,9 +370,6 @@ Expected<RecordLog> RecordLog::open(const std::string &Path,
       }
       (void)::fsync(Log.Fd);
     }
-    if (Opts.RequireHeaderMatch && Scan->Header != Opts.Header)
-      return Fail(Path + ": header mismatch (the file was written with a "
-                         "different header payload)");
     if (Recovery)
       *Recovery = std::move(*Scan);
   }

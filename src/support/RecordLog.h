@@ -42,6 +42,7 @@
 #include "src/support/Error.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,14 +77,14 @@ struct RecordLogScan {
 
 /// Options for opening a RecordLog writer.
 struct RecordLogOptions {
-  /// Application header payload written on create and compared on reopen
-  /// (empty disables the comparison; the on-disk header still loads into
-  /// scan results).
+  /// Application header payload written on create.
   std::string Header;
-  /// When false (default) a reopened file whose header differs from
-  /// \p Header is an error; set to skip the comparison (readers that accept
-  /// any compatible header).
-  bool RequireHeaderMatch = true;
+  /// Judges the header payload of an existing file before open changes
+  /// anything, tail recovery included: an error refuses the open with its
+  /// message and leaves the file byte-identical. Unset, the payload must
+  /// equal \p Header. Owners set it to accept any compatible header or to
+  /// name what differs.
+  std::function<Status(const std::string &OnDisk)> CheckHeader;
   /// fsync after every appended record (machine-crash durability). Off, a
   /// completed append still reaches the kernel (process-crash durability).
   bool FsyncEachRecord = false;
@@ -103,13 +104,13 @@ public:
 
   /// Opens \p Path for appending, creating it (magic + header) when absent
   /// or empty. An existing file is verified (magic, version, header CRC,
-  /// header payload when RequireHeaderMatch) and recovered: a torn or
-  /// corrupt tail is truncated away, reported through \p Recovery when
-  /// non-null. Corruption that is not a tail is NOT an error here — every
-  /// record after the damage is unreachable, so it is treated as the torn
-  /// tail and truncated; callers that must distinguish (the journal) scan
-  /// first and decide. A leftover compaction temp file from a crashed
-  /// compactor is removed.
+  /// then the header payload through CheckHeader) and only then recovered:
+  /// a torn or corrupt tail is truncated away, reported through \p Recovery
+  /// when non-null. A refused open never modifies the file. Corruption that
+  /// is not a tail is NOT an error here — every record after the damage is
+  /// unreachable, so it is treated as the torn tail and truncated; callers
+  /// that must distinguish (the journal) scan first and decide. A leftover
+  /// compaction temp file from a crashed compactor is removed.
   static Expected<RecordLog> open(const std::string &Path,
                                   const RecordLogOptions &Opts = {},
                                   RecordLogScan *Recovery = nullptr);

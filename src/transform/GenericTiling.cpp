@@ -220,9 +220,7 @@ TransformResult applyGenericTiling(Block &Region,
       continue;
     substituteVarInStmt(*Body, Nest[C]->Var, *Reconstruct[C]);
   }
-  forEachStmt(*Body, [](Stmt &S) {
-    forEachExpr(S, [](ExprPtr &E) { E = foldExpr(std::move(E)); });
-  });
+  forEachExpr(*Body, [](ExprPtr &E) { E = foldExpr(std::move(E)); });
 
   // Assemble inside out.
   std::unique_ptr<Block> Current = std::move(Body);

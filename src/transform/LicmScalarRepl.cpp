@@ -39,56 +39,45 @@ struct LoopVariance {
     });
   }
 
+  /// True when \p E reads no variant scalar, no array written in the loop,
+  /// and calls nothing but min/max (unknown calls are not movable).
   bool isInvariant(const Expr &E) const {
-    std::set<std::string> Vars, Arrays;
-    collectVars(E, Vars);
-    collectArrays(E, Arrays);
-    for (const std::string &V : Vars)
-      if (VariantScalars.count(V))
-        return false;
-    for (const std::string &A : Arrays)
-      if (WrittenArrays.count(A))
-        return false;
-    // Unknown calls are not movable.
-    bool HasUnknownCall = false;
-    const std::function<void(const Expr &)> Scan = [&](const Expr &Sub) {
-      if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-        if (C->Callee != "min" && C->Callee != "max")
-          HasUnknownCall = true;
-        for (const auto &Arg : C->Args)
-          Scan(*Arg);
-      } else if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
-        Scan(*B->Lhs);
-        Scan(*B->Rhs);
-      } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-        Scan(*U->Operand);
-      } else if (const auto *Arr = dyn_cast<ArrayRef>(&Sub)) {
-        for (const auto &I : Arr->Indices)
-          Scan(*I);
-      }
-    };
-    Scan(E);
-    return !HasUnknownCall;
+    bool Invariant = true;
+    visitExpr(E, [&](const Expr &Sub) {
+      if (const auto *V = dyn_cast<VarRef>(&Sub))
+        Invariant = Invariant && !VariantScalars.count(V->Name);
+      else if (const auto *A = dyn_cast<ArrayRef>(&Sub))
+        Invariant = Invariant && !WrittenArrays.count(A->Name);
+      else if (const auto *C = dyn_cast<CallExpr>(&Sub))
+        Invariant = Invariant && (C->Callee == "min" || C->Callee == "max");
+      return Invariant;
+    });
+    return Invariant;
   }
 };
 
-/// Counts arithmetic operations in an expression.
+/// Counts arithmetic operations in an expression; subscripts do not count.
 int opCount(const Expr &E) {
-  switch (E.kind()) {
-  case ExprKind::Binary:
-    return 1 + opCount(*cast<BinaryExpr>(&E)->Lhs) +
-           opCount(*cast<BinaryExpr>(&E)->Rhs);
-  case ExprKind::Unary:
-    return 1 + opCount(*cast<UnaryExpr>(&E)->Operand);
-  case ExprKind::Call: {
-    int N = 1;
-    for (const auto &A : cast<CallExpr>(&E)->Args)
-      N += opCount(*A);
-    return N;
-  }
-  default:
-    return 0;
-  }
+  int N = 0;
+  visitExpr(E, [&](const Expr &Sub) {
+    N += isa<BinaryExpr>(&Sub) || isa<UnaryExpr>(&Sub) || isa<CallExpr>(&Sub);
+    return !isa<ArrayRef>(&Sub);
+  });
+  return N;
+}
+
+/// Replaces every subexpression of \p Body equal to \p Pattern by a
+/// reference to variable \p Temp, top-down (a replaced subtree is not
+/// descended).
+void replaceInBody(Block &Body, const Expr &Pattern, const std::string &Temp) {
+  forEachExpr(Body, [&](ExprPtr &Top) {
+    rewriteExpr(Top, [&](ExprPtr &E) {
+      if (!exprEquals(*E, Pattern))
+        return true;
+      E = makeVar(Temp);
+      return false;
+    });
+  });
 }
 
 /// Counts assignments to scalar \p Name in the loop body.
@@ -162,24 +151,12 @@ int hoistFromLoop(Block &Region, ForStmt &Loop, int MinOps,
   std::vector<ExprPtr> Candidates;
   auto HasUnsafeDiv = [](const Expr &E) {
     bool Unsafe = false;
-    const std::function<void(const Expr &)> Scan = [&](const Expr &Sub) {
-      if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
+    visitExpr(E, [&](const Expr &Sub) {
+      if (const auto *B = dyn_cast<BinaryExpr>(&Sub))
         if ((B->Op == BinOp::Div || B->Op == BinOp::Mod) &&
             !evalConstInt(*B->Rhs))
           Unsafe = true;
-        Scan(*B->Lhs);
-        Scan(*B->Rhs);
-      } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-        Scan(*U->Operand);
-      } else if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-        for (const auto &A : C->Args)
-          Scan(*A);
-      } else if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
-        for (const auto &I : A->Indices)
-          Scan(*I);
-      }
-    };
-    Scan(E);
+    });
     return Unsafe;
   };
   auto Consider = [&](const Expr &E) {
@@ -196,38 +173,17 @@ int hoistFromLoop(Block &Region, ForStmt &Loop, int MinOps,
     Candidates.push_back(E.clone());
     return true;
   };
-  // Find maximal invariant subtrees.
-  const std::function<void(const Expr &)> Scan = [&](const Expr &E) {
-    if (Consider(E))
-      return; // maximal: do not descend
-    switch (E.kind()) {
-    case ExprKind::Binary:
-      Scan(*cast<BinaryExpr>(&E)->Lhs);
-      Scan(*cast<BinaryExpr>(&E)->Rhs);
-      return;
-    case ExprKind::Unary:
-      Scan(*cast<UnaryExpr>(&E)->Operand);
-      return;
-    case ExprKind::Call:
-      for (const auto &A : cast<CallExpr>(&E)->Args)
-        Scan(*A);
-      return;
-    case ExprKind::ArrayRef:
-      for (const auto &I : cast<ArrayRef>(&E)->Indices)
-        Scan(*I);
-      return;
-    default:
-      return;
-    }
+  // Find maximal invariant subtrees: a considered expression is not
+  // descended into.
+  const auto Scan = [&](const Expr &E) {
+    visitExpr(E, [&](const Expr &Sub) { return !Consider(Sub); });
   };
-  forEachStmt(*Loop.Body, [&](Stmt &S) {
-    // Loop headers of nested loops are scanned too (their bounds repeat).
-    if (auto *A = dyn_cast<AssignStmt>(&S)) {
+  forEachStmt(*Loop.Body, [&](const Stmt &S) {
+    if (const auto *A = dyn_cast<AssignStmt>(&S)) {
       Scan(*A->Rhs);
-      if (auto *Arr = dyn_cast<ArrayRef>(A->Lhs.get()))
-        for (const auto &I : Arr->Indices)
-          Scan(*I);
-    } else if (auto *D = dyn_cast<DeclStmt>(&S)) {
+      if (const auto *Arr = dyn_cast<ArrayRef>(A->Lhs.get()))
+        forEachChild(*Arr, Scan);
+    } else if (const auto *D = dyn_cast<DeclStmt>(&S)) {
       if (D->Init)
         Scan(*D->Init);
     }
@@ -243,44 +199,7 @@ int hoistFromLoop(Block &Region, ForStmt &Loop, int MinOps,
                               std::move(Decl));
     ++Loc->Index;
     // Replace every occurrence inside the loop body.
-    VarRef Repl(Temp);
-    forEachStmt(*Loop.Body, [&](Stmt &S) {
-      forEachExpr(S, [&](ExprPtr &E) {
-        const std::function<ExprPtr(ExprPtr)> Rewrite =
-            [&](ExprPtr Sub) -> ExprPtr {
-          if (exprEquals(*Sub, *Candidate))
-            return Repl.clone();
-          switch (Sub->kind()) {
-          case ExprKind::Binary: {
-            auto *B = cast<BinaryExpr>(Sub.get());
-            B->Lhs = Rewrite(std::move(B->Lhs));
-            B->Rhs = Rewrite(std::move(B->Rhs));
-            return Sub;
-          }
-          case ExprKind::Unary: {
-            auto *U = cast<UnaryExpr>(Sub.get());
-            U->Operand = Rewrite(std::move(U->Operand));
-            return Sub;
-          }
-          case ExprKind::Call: {
-            auto *C = cast<CallExpr>(Sub.get());
-            for (auto &A : C->Args)
-              A = Rewrite(std::move(A));
-            return Sub;
-          }
-          case ExprKind::ArrayRef: {
-            auto *A = cast<ArrayRef>(Sub.get());
-            for (auto &I : A->Indices)
-              I = Rewrite(std::move(I));
-            return Sub;
-          }
-          default:
-            return Sub;
-          }
-        };
-        E = Rewrite(std::move(E));
-      });
-    });
+    replaceInBody(*Loop.Body, *Candidate, Temp);
     ++Hoists;
   }
   return Hoists;
@@ -341,36 +260,21 @@ TransformResult applyScalarRepl(Block &Region, const ScalarReplArgs &Args,
       };
       std::map<std::string, Group> Groups;
       LoopVariance Variance(Loop);
-      forEachStmt(*Loop.Body, [&](Stmt &S) {
-        forEachExpr(S, [&](ExprPtr &E) {
-          const std::function<void(const Expr &, bool)> Visit =
-              [&](const Expr &Sub, bool IsLhs) {
-                if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
-                  Group &G = Groups[A->Name];
-                  if (!G.Representative)
-                    G.Representative = A;
-                  else if (!exprEquals(*G.Representative, *A))
-                    G.Uniform = false;
-                  if (IsLhs)
-                    G.Written = true;
-                  for (const auto &I : A->Indices)
-                    Visit(*I, false);
-                  return;
-                }
-                if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
-                  Visit(*B->Lhs, false);
-                  Visit(*B->Rhs, false);
-                } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-                  Visit(*U->Operand, false);
-                } else if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-                  for (const auto &Arg : C->Args)
-                    Visit(*Arg, false);
-                }
-              };
-          bool IsLhsExpr = false;
-          if (auto *A = dyn_cast<AssignStmt>(&S))
-            IsLhsExpr = (A->Lhs == E);
-          Visit(*E, IsLhsExpr);
+      forEachStmt(*Loop.Body, [&](const Stmt &S) {
+        const auto *Assign = dyn_cast<AssignStmt>(&S);
+        forEachChild(S, [&](const Expr &Top) {
+          visitExpr(Top, [&](const Expr &Sub) {
+            const auto *A = dyn_cast<ArrayRef>(&Sub);
+            if (!A)
+              return;
+            Group &G = Groups[A->Name];
+            if (!G.Representative)
+              G.Representative = A;
+            else if (!exprEquals(*G.Representative, *A))
+              G.Uniform = false;
+            if (Assign && &Sub == Assign->Lhs.get())
+              G.Written = true;
+          });
         });
       });
 
@@ -393,45 +297,7 @@ TransformResult applyScalarRepl(Block &Region, const ScalarReplArgs &Args,
         bool Written = G.Written;
 
         // Replace all matching references by the temporary.
-        VarRef Repl(Temp);
-        const Expr &Pattern = *RefClone;
-        forEachStmt(*Loop.Body, [&](Stmt &S) {
-          forEachExpr(S, [&](ExprPtr &E) {
-            const std::function<ExprPtr(ExprPtr)> Rewrite =
-                [&](ExprPtr Sub) -> ExprPtr {
-              if (exprEquals(*Sub, Pattern))
-                return Repl.clone();
-              switch (Sub->kind()) {
-              case ExprKind::Binary: {
-                auto *B = cast<BinaryExpr>(Sub.get());
-                B->Lhs = Rewrite(std::move(B->Lhs));
-                B->Rhs = Rewrite(std::move(B->Rhs));
-                return Sub;
-              }
-              case ExprKind::Unary: {
-                auto *U = cast<UnaryExpr>(Sub.get());
-                U->Operand = Rewrite(std::move(U->Operand));
-                return Sub;
-              }
-              case ExprKind::Call: {
-                auto *C = cast<CallExpr>(Sub.get());
-                for (auto &A : C->Args)
-                  A = Rewrite(std::move(A));
-                return Sub;
-              }
-              case ExprKind::ArrayRef: {
-                auto *A = cast<ArrayRef>(Sub.get());
-                for (auto &I : A->Indices)
-                  I = Rewrite(std::move(I));
-                return Sub;
-              }
-              default:
-                return Sub;
-              }
-            };
-            E = Rewrite(std::move(E));
-          });
-        });
+        replaceInBody(*Loop.Body, *RefClone, Temp);
 
         Loc->Parent->Stmts.insert(Loc->Parent->Stmts.begin() +
                                       static_cast<long>(Loc->Index),
@@ -439,7 +305,7 @@ TransformResult applyScalarRepl(Block &Region, const ScalarReplArgs &Args,
         ++Loc->Index;
         if (Written) {
           auto Store = std::make_unique<AssignStmt>(
-              RefClone->clone(), AssignOp::Set, Repl.clone());
+              RefClone->clone(), AssignOp::Set, makeVar(Temp));
           Loc->Parent->Stmts.insert(Loc->Parent->Stmts.begin() +
                                         static_cast<long>(Loc->Index + 1),
                                     std::move(Store));

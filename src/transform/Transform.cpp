@@ -11,19 +11,17 @@ namespace transform {
 
 std::string freshName(const cir::Block &Scope, const std::string &Base) {
   std::set<std::string> Used;
-  cir::forEachStmt(const_cast<cir::Block &>(Scope), [&](cir::Stmt &S) {
-    if (auto *For = cir::dyn_cast<cir::ForStmt>(&S))
+  cir::forEachStmt(Scope, [&](const cir::Stmt &S) {
+    if (const auto *For = cir::dyn_cast<cir::ForStmt>(&S))
       Used.insert(For->Var);
-    if (auto *Decl = cir::dyn_cast<cir::DeclStmt>(&S))
+    if (const auto *Decl = cir::dyn_cast<cir::DeclStmt>(&S))
       Used.insert(Decl->Name);
-    cir::forEachExpr(S, [&](cir::ExprPtr &E) {
-      std::set<std::string> Vars;
-      cir::collectVars(*E, Vars);
-      Used.insert(Vars.begin(), Vars.end());
-      std::set<std::string> Arrays;
-      cir::collectArrays(*E, Arrays);
-      Used.insert(Arrays.begin(), Arrays.end());
-    });
+  });
+  cir::visitExprs(Scope, [&](const cir::Expr &E) {
+    if (const auto *V = cir::dyn_cast<cir::VarRef>(&E))
+      Used.insert(V->Name);
+    else if (const auto *A = cir::dyn_cast<cir::ArrayRef>(&E))
+      Used.insert(A->Name);
   });
   if (!Used.count(Base))
     return Base;
@@ -38,11 +36,10 @@ std::map<std::string, cir::ElemType> collectDeclTypes(const cir::Program &P) {
   std::map<std::string, cir::ElemType> Types;
   for (const auto &G : P.Globals)
     Types[G->Name] = G->Elem;
-  cir::forEachStmt(*const_cast<cir::Block *>(P.Body.get()),
-                   [&](cir::Stmt &S) {
-                     if (auto *D = cir::dyn_cast<cir::DeclStmt>(&S))
-                       Types[D->Name] = D->Elem;
-                   });
+  cir::forEachStmt(*P.Body, [&](const cir::Stmt &S) {
+    if (const auto *D = cir::dyn_cast<cir::DeclStmt>(&S))
+      Types[D->Name] = D->Elem;
+  });
   return Types;
 }
 

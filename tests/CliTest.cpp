@@ -210,6 +210,13 @@ TEST_F(Cli, ServedTinyMachineJournalEqualsLocal) {
   ASSERT_TRUE(Served.ok()) << Served.describe() << Served.Stderr;
   EXPECT_NE(Served.Stdout.find("from workers"), std::string::npos)
       << Served.Stdout;
+  // Managed workers take their graceful exit and print their summary.
+  for (int Slot : {0, 1}) {
+    std::string Log =
+        readFile(path("queue/worker-" + std::to_string(Slot) + ".log"));
+    EXPECT_NE(Log.find("task(s) evaluated"), std::string::npos)
+        << "worker-" << Slot << ".log: " << Log;
+  }
 
   std::string LocalBytes = readFile(path("local.rlog"));
   ASSERT_FALSE(LocalBytes.empty());

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 namespace locus {
 namespace {
@@ -31,6 +32,14 @@ struct TempFile {
   }
   ~TempFile() { std::remove(Path.c_str()); }
 };
+
+/// The bytes of \p Path ("" when it cannot be read).
+std::string readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
 
 Space smallSpace() {
   Space S;
@@ -373,6 +382,35 @@ TEST(Journal, MismatchedConfigDigestIsRefused) {
   // A matching header loads fine.
   auto Ok = SearchJournal::load(F.Path, S, &Written);
   EXPECT_TRUE(Ok.ok()) << Ok.message();
+}
+
+TEST(Journal, RefusedOpenLeavesADamagedJournalByteIdentical) {
+  // Sixteen records with one byte flipped mid-file, reopened by a run with
+  // another seed: the open is refused on the header, and the records after
+  // the damage are not truncated away first.
+  Space S = smallSpace();
+  TempFile F("journal_refused_open.rlog");
+  JournalHeader Written;
+  Written.SpaceFingerprint = S.fingerprint();
+  Written.ConfigDigest = journalConfigDigest("bandit", 42);
+  {
+    auto J = SearchJournal::open(F.Path, JournalSync::Full, Written);
+    ASSERT_TRUE(J.ok()) << J.message();
+    for (int I = 0; I < 16; ++I)
+      ASSERT_TRUE(J->append(makeRecord(I, 7, 10 + I, FailureKind::None)).ok());
+  }
+  std::string Image = readBytes(F.Path);
+  Image[Image.size() / 2] ^= 0x20;
+  std::ofstream(F.Path, std::ios::binary | std::ios::trunc) << Image;
+
+  JournalHeader Other = Written;
+  Other.ConfigDigest = journalConfigDigest("bandit", 7);
+  auto Reopen = SearchJournal::open(F.Path, JournalSync::Full, Other);
+  ASSERT_FALSE(Reopen.ok());
+  EXPECT_NE(Reopen.message().find("different search configuration"),
+            std::string::npos)
+      << Reopen.message();
+  EXPECT_EQ(readBytes(F.Path), Image);
 }
 
 TEST(Journal, ConfigDigestSeparatesSearcherAndSeed) {

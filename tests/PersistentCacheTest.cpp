@@ -46,6 +46,14 @@ struct CacheFixture {
 
 CacheKey key(uint64_t V) { return CacheKey{V, ~V}; }
 
+/// The bytes of \p Path ("" when it cannot be read).
+std::string readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
 TEST(PersistentCache, EntryCodecRoundTrips) {
   CacheKey K{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
   EvalOutcome Ok = EvalOutcome::success(1234.5);
@@ -86,6 +94,9 @@ TEST(PersistentCache, EarlierFormatStoreDegradesWithOneWarning) {
     ASSERT_TRUE(
         Log->append("0000000000000001\tfffffffffffffffe\tNone\t1\tp\t").ok());
   }
+  // A torn tail: degrading must not first truncate the store.
+  std::ofstream(F.storePath(), std::ios::binary | std::ios::app) << "torn";
+  std::string Image = readBytes(F.storePath());
   for (bool ReadOnly : {false, true}) {
     SCOPED_TRACE(ReadOnly ? "read-only" : "read-write");
     F.Warnings.clear();
@@ -98,6 +109,7 @@ TEST(PersistentCache, EarlierFormatStoreDegradesWithOneWarning) {
     // The search goes on in memory.
     C.insert(key(1), "p", EvalOutcome::success(2.0));
     EXPECT_TRUE(C.lookup(key(1), "p").has_value());
+    EXPECT_EQ(readBytes(F.storePath()), Image);
   }
 }
 
@@ -171,11 +183,7 @@ TEST(PersistentCache, CorruptStoreSalvagesThePrefixWithAWarning) {
   }
   // Tear the last frame as a crashed writer would.
   std::string Path = F.storePath();
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  In.close();
-  std::string Image = Buf.str();
+  std::string Image = readBytes(Path);
   std::ofstream(Path, std::ios::binary | std::ios::trunc)
       << Image.substr(0, Image.size() - 3);
 
@@ -235,7 +243,9 @@ TEST(PersistentCache, DuplicateHeavyStoreIsCompactedAtStartup) {
       key(42), "pt", EvalOutcome::success(42.0));
   {
     support::RecordLogOptions LogOpts;
-    LogOpts.RequireHeaderMatch = false;
+    LogOpts.CheckHeader = [](const std::string &) {
+      return Status::success();
+    };
     auto Log = support::RecordLog::open(F.storePath(), LogOpts);
     ASSERT_TRUE(Log.ok()) << Log.message();
     for (int I = 0; I < 100; ++I)
@@ -267,7 +277,9 @@ TEST(PersistentCache, FirstLoadedEntryWinsDuplicateKeys) {
   }
   {
     support::RecordLogOptions LogOpts;
-    LogOpts.RequireHeaderMatch = false;
+    LogOpts.CheckHeader = [](const std::string &) {
+      return Status::success();
+    };
     auto Log = support::RecordLog::open(F.storePath(), LogOpts);
     ASSERT_TRUE(Log.ok());
     ASSERT_TRUE(Log->append(PersistentEvalCache::encodeEntry(

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -379,6 +380,14 @@ TEST(TaskQueueDurability, CompactDropShutdownRevivesACompletedQueue) {
 // Coordinator + worker integration (in-process worker threads)
 //===----------------------------------------------------------------------===//
 
+/// The bytes of \p Path ("" when it cannot be read).
+std::string readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
 search::Space twoParamSpace() {
   search::Space S;
   search::ParamDef A;
@@ -712,6 +721,10 @@ TEST(TaskQueueDurability, EarlierFormatQueueIsRefusedByCoordinatorAndWorker) {
     ASSERT_TRUE(
         Log->append("task 1 0000000000000000\na = i:8\nb = i:3\n").ok());
   }
+  // A torn tail: refusing the queue must not first truncate it.
+  std::string QueuePath = TaskQueue::queueFilePath(Dir.path());
+  std::ofstream(QueuePath, std::ios::binary | std::ios::app) << "torn";
+  std::string Image = readBytes(QueuePath);
 
   CoordinatorOptions Opts;
   Opts.QueueDir = Dir.path();
@@ -721,6 +734,7 @@ TEST(TaskQueueDurability, EarlierFormatQueueIsRefusedByCoordinatorAndWorker) {
   ASSERT_FALSE(C.ok());
   EXPECT_NE(C.message().find("locus-queue v2"), std::string::npos)
       << C.message();
+  EXPECT_EQ(readBytes(QueuePath), Image);
 
   search::LambdaObjective Obj{search::LambdaObjective::OutcomeFn(toyAssess)};
   WorkerOptions WOpts;
@@ -730,6 +744,7 @@ TEST(TaskQueueDurability, EarlierFormatQueueIsRefusedByCoordinatorAndWorker) {
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.message().find("locus-queue v2"), std::string::npos)
       << R.message();
+  EXPECT_EQ(readBytes(QueuePath), Image);
 }
 
 //===----------------------------------------------------------------------===//
