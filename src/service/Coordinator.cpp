@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <ctime>
@@ -194,6 +193,11 @@ void Coordinator::shutdown() {
 }
 
 void Coordinator::superviseLoop() {
+  // Armed before the first fold. Worker leases, heartbeats and results
+  // wake the loop as they land, and so does shutdown()'s own record; the
+  // timeout keeps lease expiry, respawn and degradation running at least
+  // once per PollSeconds, and bounds the exit should that record fail.
+  support::FileChangeWait Wake(Queue.path());
   while (!ShuttingDown.load()) {
     pollQueue();
     sweepFulfill();
@@ -203,11 +207,9 @@ void Coordinator::superviseLoop() {
     maybeDegrade(Now);
     if (stopRequested())
       Cv.notify_all(); // unblock waiters promptly on Ctrl-C/SIGTERM
-    std::unique_lock<std::mutex> L(M);
     if (ShuttingDown.load())
       break;
-    Cv.wait_for(L, std::chrono::duration<double>(Opts.PollSeconds),
-                [this] { return ShuttingDown.load(); });
+    Wake.wait(Opts.PollSeconds);
   }
   // Final fold so stats reflect the last records (and late results land in
   // the fulfillment map for any still-blocked waiter).

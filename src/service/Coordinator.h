@@ -75,7 +75,9 @@ struct CoordinatorOptions {
   /// A claimed task whose lease shows no lease/heartbeat arrival for this
   /// long is expired and reassigned.
   double LeaseTimeoutSeconds = 10.0;
-  /// Supervision loop period (queue poll, liveness checks).
+  /// Supervision period. The loop wakes on every append to queue.rlog and
+  /// at least this often (lease expiry, respawn, degradation); without an
+  /// inotify watch on the queue dir it polls at this period.
   double PollSeconds = 0.02;
   /// Quarantine a task after this many distinct workers died holding it.
   int PoisonWorkerDeaths = 3;

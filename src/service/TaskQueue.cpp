@@ -339,18 +339,23 @@ Status TaskQueue::compactDropShutdown() {
 Expected<uint64_t>
 TaskQueue::poll(QueueState &State,
                 const std::function<void(const QueueRecord &)> &OnRecord) {
-  auto Scan = support::RecordLog::scan(Path);
+  auto Scan = support::RecordLog::scanFrom(Path, State.Cursor);
   if (!Scan.ok())
     return Expected<uint64_t>::error(Scan.message());
   // A torn tail here is a writer that crashed mid-append; the complete
   // prefix is still authoritative and the next RecordLog::open amputates
-  // the damage, so the fold simply ignores the flags.
+  // the damage, so the fold simply ignores the flags. A restarted scan
+  // holds every record, a resumed one only those past the cursor.
+  uint64_t First = Scan->Restarted ? 0 : State.AppliedRecords;
   uint64_t Applied = 0;
-  for (uint64_t I = State.AppliedRecords; I < Scan->Records.size(); ++I) {
-    auto R = parseQueueRecord(Scan->Records[I]);
-    if (!R.ok())
+  for (uint64_t I = State.AppliedRecords; I < First + Scan->Records.size();
+       ++I) {
+    auto R = parseQueueRecord(Scan->Records[I - First]);
+    if (!R.ok()) {
+      State.Cursor = {}; // the next poll rereads, and refuses, this record
       return Expected<uint64_t>::error(
           Path + ": record " + std::to_string(I) + ": " + R.message());
+    }
     State.apply(*R);
     if (OnRecord)
       OnRecord(*R);

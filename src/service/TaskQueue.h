@@ -114,6 +114,8 @@ struct QueueState {
   uint64_t StaleResultsDiscarded = 0;
   /// Records folded so far (poll() resumes from here).
   uint64_t AppliedRecords = 0;
+  /// Where poll() stopped reading the log file.
+  support::RecordLogCursor Cursor;
 
   void apply(const QueueRecord &R);
   const TaskState *find(uint64_t Id) const;
@@ -164,9 +166,10 @@ public:
   /// their QueueState afterwards.
   Status compactDropShutdown();
 
-  /// Re-scans the log and folds every record beyond State.AppliedRecords
-  /// into State, invoking OnRecord (when given) for each *after* it was
-  /// applied. Returns the number of new records.
+  /// Folds every record beyond State.AppliedRecords into State, invoking
+  /// OnRecord (when given) for each *after* it was applied. Returns the
+  /// number of new records. Reads only the bytes past State.Cursor, unless
+  /// the file was replaced or shortened since (RecordLog::scanFrom).
   Expected<uint64_t>
   poll(QueueState &State,
        const std::function<void(const QueueRecord &)> &OnRecord = nullptr);

@@ -3,10 +3,12 @@
 #include "src/service/Worker.h"
 
 #include "src/search/PointCodec.h"
+#include "src/support/Posix.h"
 
-#include <atomic>
 #include <chrono>
-#include <ctime>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <sys/stat.h>
 #include <thread>
@@ -16,53 +18,48 @@ namespace service {
 
 namespace {
 
-double monotonicSeconds() {
-  struct timespec Ts;
-  clock_gettime(CLOCK_MONOTONIC, &Ts);
-  return static_cast<double>(Ts.tv_sec) +
-         1e-9 * static_cast<double>(Ts.tv_nsec);
-}
-
 bool stopRequested(const WorkerOptions &Opts) {
   return Opts.StopFlag && Opts.StopFlag->load(std::memory_order_relaxed);
 }
 
-void sleepSeconds(double S) {
-  std::this_thread::sleep_for(std::chrono::duration<double>(S));
-}
-
-/// Heartbeats Task/Epoch every HeartbeatSeconds until told to stop, in
-/// 10 ms slices so joining is prompt once the evaluation finishes.
+/// Heartbeats Task/Epoch every HeartbeatSeconds until destroyed; the
+/// destructor wakes the pump at once, so a finished evaluation's result is
+/// posted without waiting out a sleep.
 class HeartbeatPump {
 public:
   HeartbeatPump(TaskQueue &Q, uint64_t Id, uint64_t Epoch,
                 const WorkerOptions &Opts, uint64_t &Beats)
       : T([&Q, Id, Epoch, &Opts, &Beats, this] {
-          double Last = monotonicSeconds();
+          std::chrono::duration<double> Period(Opts.HeartbeatSeconds);
           uint64_t Sent = 0;
-          while (!Stop.load(std::memory_order_relaxed)) {
-            sleepSeconds(0.01);
-            double Now = monotonicSeconds();
-            if (Now - Last < Opts.HeartbeatSeconds)
-              continue;
+          std::unique_lock<std::mutex> L(Mu);
+          while (!Cv.wait_for(L, Period, [this] { return Stop; })) {
             if (Opts.MaxHeartbeatsPerTask >= 0 &&
                 Sent >= static_cast<uint64_t>(Opts.MaxHeartbeatsPerTask))
               continue; // simulated stall: lease goes silent
+            L.unlock();
             if (Q.heartbeat(Id, Epoch, Opts.WorkerId).ok()) {
               ++Sent;
               ++Beats;
             }
-            Last = Now;
+            L.lock();
           }
         }) {}
   ~HeartbeatPump() {
-    Stop.store(true);
-    if (T.joinable())
-      T.join();
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      Stop = true;
+    }
+    Cv.notify_one();
+    T.join();
   }
+  HeartbeatPump(const HeartbeatPump &) = delete;
+  HeartbeatPump &operator=(const HeartbeatPump &) = delete;
 
 private:
-  std::atomic<bool> Stop{false};
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Stop = false; ///< guarded by Mu
   std::thread T;
 };
 
@@ -79,15 +76,20 @@ Expected<WorkerStats> runWorker(const search::Space &Space,
     return Ret::error("worker requires a non-empty worker id");
 
   // The coordinator creates the log; wait for it rather than racing to
-  // write a header of our own.
+  // write a header of our own. The watch is armed before each look at the
+  // file, so no change after the look goes unnoticed; until the queue dir
+  // exists it cannot be armed, and the wait is a plain PollSeconds sleep.
   std::string LogPath = TaskQueue::queueFilePath(Opts.QueueDir);
+  std::optional<support::FileChangeWait> Wake;
   for (;;) {
+    if (!Wake || !Wake->watching())
+      Wake.emplace(LogPath);
     struct stat St;
     if (::stat(LogPath.c_str(), &St) == 0)
       break;
     if (stopRequested(Opts))
       return Ret::error("worker stopped before queue " + LogPath + " existed");
-    sleepSeconds(Opts.PollSeconds);
+    Wake->wait(Opts.PollSeconds);
   }
 
   TaskQueueOptions QOpts;
@@ -118,7 +120,7 @@ Expected<WorkerStats> runWorker(const search::Space &Space,
       break;
     const TaskState *T = State.firstClaimable();
     if (!T) {
-      sleepSeconds(Opts.PollSeconds);
+      Wake->wait(Opts.PollSeconds); // any append may open a task
       continue;
     }
 

@@ -31,7 +31,9 @@ struct WorkerOptions {
   uint64_t SpaceFingerprint = 0;
   /// Heartbeat period while an evaluation runs.
   double HeartbeatSeconds = 0.5;
-  /// Idle poll period while waiting for claimable tasks.
+  /// Longest idle wait for the queue file or a claimable task. The worker
+  /// wakes on every append to queue.rlog; this period is the fallback when
+  /// the queue dir cannot be watched (e.g. it does not exist yet).
   double PollSeconds = 0.02;
   /// Exit after this many evaluated tasks; 0 = until shutdown record.
   uint64_t MaxTasks = 0;

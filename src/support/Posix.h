@@ -9,8 +9,8 @@
 /// here keeps RecordLog and Subprocess free of hand-rolled variants.
 ///
 /// All wrappers preserve the underlying call's return-value contract; only
-/// EINTR is absorbed. Timeouts (retryPoll) are re-armed against a monotonic
-/// deadline so a signal storm cannot extend the wait.
+/// EINTR is absorbed. Timeouts (retryPoll, FileChangeWait) are re-armed
+/// against a monotonic deadline so a signal storm cannot extend the wait.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_SUPPORT_POSIX_H
@@ -59,6 +59,33 @@ int retryOpen(const char *Path, int Flags, mode_t Mode = 0);
 /// EINTR, and retrying risks closing a recycled descriptor, so the wrapper
 /// closes once and ignores EINTR (Linux semantics: the fd is released).
 void closeQuietly(int Fd);
+
+/// Blocks until one file changes or a timeout passes. The inotify watch is
+/// on the file's *directory*, filtered to events that name the file
+/// (written, created, or renamed into place): a watch on the file itself
+/// would go silent once a compaction renames a new inode over the path,
+/// and the filter keeps other files of the directory from waking anyone.
+/// When no watch can be set up (no such directory, no inotify) wait()
+/// degrades to a plain timed sleep.
+class FileChangeWait {
+public:
+  explicit FileChangeWait(const std::string &Path);
+  ~FileChangeWait();
+  FileChangeWait(const FileChangeWait &) = delete;
+  FileChangeWait &operator=(const FileChangeWait &) = delete;
+
+  /// True when the inotify watch is live.
+  bool watching() const { return Fd >= 0; }
+
+  /// Returns true as soon as the file changed since the previous wait()
+  /// (a change that landed in between returns at once), or false once
+  /// \p TimeoutSeconds passed without one.
+  bool wait(double TimeoutSeconds);
+
+private:
+  int Fd = -1; ///< the inotify instance, non-blocking
+  std::string Name;
+};
 
 } // namespace support
 } // namespace locus

@@ -130,6 +130,56 @@ CrashInjector &crashInjector() {
   return Injector;
 }
 
+/// Parses the record frames of \p Data, which starts at file offset \p Base,
+/// appending intact records to Scan and stopping at the first torn or
+/// corrupt frame. Offsets in Scan are file offsets.
+void parseFrames(std::string_view Data, uint64_t Base, RecordLogScan &Scan) {
+  uint64_t Pos = 0;
+  Scan.GoodBytes = Base;
+  while (Pos < Data.size()) {
+    uint64_t At = Base + Pos;
+    if (Data.size() - Pos < 8) {
+      Scan.TornTail = true;
+      Scan.TornOffset = At;
+      Scan.Why = "torn record frame at byte " + std::to_string(At) +
+                 " (file ends inside the length prefix)";
+      return;
+    }
+    uint32_t Len = getU32(Data, Pos);
+    uint32_t Crc = getU32(Data, Pos + 4);
+    if (Len > MaxRecordBytes) {
+      Scan.TornTail = true;
+      Scan.MidFileCorruption = true;
+      Scan.TornOffset = At;
+      Scan.Why = "record length field at byte " + std::to_string(At) +
+                 " is implausible (" + std::to_string(Len) + " bytes)";
+      return;
+    }
+    if (Data.size() - Pos - 8 < Len) {
+      Scan.TornTail = true;
+      Scan.TornOffset = At;
+      Scan.Why = "torn record at byte " + std::to_string(At) +
+                 " (frame claims " + std::to_string(Len) +
+                 " payload bytes, file ends first)";
+      return;
+    }
+    std::string_view Payload(Data.data() + Pos + 8, Len);
+    if (crc32c(Payload) != Crc) {
+      Scan.TornTail = true;
+      // A complete frame whose checksum fails is damage, not a torn write.
+      Scan.MidFileCorruption = Pos + 8 + Len < Data.size();
+      Scan.TornOffset = At;
+      Scan.Why = "record CRC mismatch at byte " + std::to_string(At) +
+                 (Scan.MidFileCorruption ? " (mid-file corruption)"
+                                         : " (corrupt final record)");
+      return;
+    }
+    Scan.Records.emplace_back(Payload);
+    Pos += 8 + Len;
+    Scan.GoodBytes = Base + Pos;
+  }
+}
+
 /// Parses a whole file image. Returns an error only for "this is not a
 /// record log at all" (bad magic) and mid-prologue damage that cannot be
 /// told apart from a foreign file; torn/corrupt data after a valid header
@@ -174,50 +224,7 @@ Expected<RecordLogScan> parseImage(const std::string &Data) {
         "header CRC mismatch at byte " + std::to_string(MagicSize + 8) +
         ": the header payload is damaged");
   Scan.Header = std::string(HdrPayload);
-  Scan.GoodBytes = HdrEnd;
-
-  uint64_t Pos = HdrEnd;
-  while (Pos < Data.size()) {
-    if (Data.size() - Pos < 8) {
-      Scan.TornTail = true;
-      Scan.TornOffset = Pos;
-      Scan.Why = "torn record frame at byte " + std::to_string(Pos) +
-                 " (file ends inside the length prefix)";
-      break;
-    }
-    uint32_t Len = getU32(Data, Pos);
-    uint32_t Crc = getU32(Data, Pos + 4);
-    if (Len > MaxRecordBytes) {
-      Scan.TornTail = true;
-      Scan.MidFileCorruption = true;
-      Scan.TornOffset = Pos;
-      Scan.Why = "record length field at byte " + std::to_string(Pos) +
-                 " is implausible (" + std::to_string(Len) + " bytes)";
-      break;
-    }
-    if (Data.size() - Pos - 8 < Len) {
-      Scan.TornTail = true;
-      Scan.TornOffset = Pos;
-      Scan.Why = "torn record at byte " + std::to_string(Pos) +
-                 " (frame claims " + std::to_string(Len) +
-                 " payload bytes, file ends first)";
-      break;
-    }
-    std::string_view Payload(Data.data() + Pos + 8, Len);
-    if (crc32c(Payload) != Crc) {
-      Scan.TornTail = true;
-      // A complete frame whose checksum fails is damage, not a torn write.
-      Scan.MidFileCorruption = Pos + 8 + Len < Data.size();
-      Scan.TornOffset = Pos;
-      Scan.Why = "record CRC mismatch at byte " + std::to_string(Pos) +
-                 (Scan.MidFileCorruption ? " (mid-file corruption)"
-                                         : " (corrupt final record)");
-      break;
-    }
-    Scan.Records.emplace_back(Payload);
-    Pos += 8 + Len;
-    Scan.GoodBytes = Pos;
-  }
+  parseFrames(std::string_view(Data).substr(HdrEnd), HdrEnd, Scan);
   return Scan;
 }
 
@@ -475,10 +482,18 @@ Status RecordLog::compact(const std::vector<std::string> &Records) {
 }
 
 Expected<RecordLogScan> RecordLog::scan(const std::string &Path) {
+  RecordLogCursor Fresh;
+  return scanFrom(Path, Fresh);
+}
+
+Expected<RecordLogScan> RecordLog::scanFrom(const std::string &Path,
+                                            RecordLogCursor &Cursor) {
   int Fd = retryOpen(Path.c_str(), O_RDONLY | O_CLOEXEC);
   if (Fd < 0) {
-    if (errno == ENOENT)
+    if (errno == ENOENT) {
+      Cursor = {};
       return RecordLogScan{}; // a missing log is an empty log
+    }
     return Expected<RecordLogScan>::error("cannot open " + Path + ": " +
                                           std::strerror(errno));
   }
@@ -487,18 +502,36 @@ Expected<RecordLogScan> RecordLog::scan(const std::string &Path) {
   // a lockless read (writers there are impossible anyway).
   int LockFd = openLockFile(Path);
   flockRetry(LockFd, LOCK_SH);
+  struct stat St;
+  bool ReadOk = ::fstat(Fd, &St) == 0;
+  bool Resume = ReadOk && Cursor.Offset > 0 &&
+                static_cast<uint64_t>(St.st_dev) == Cursor.Dev &&
+                static_cast<uint64_t>(St.st_ino) == Cursor.Ino &&
+                static_cast<uint64_t>(St.st_size) >= Cursor.Offset;
   std::string Image;
-  bool ReadOk = readWholeFd(Fd, Image);
+  if (ReadOk && Resume)
+    ReadOk = ::lseek(Fd, static_cast<off_t>(Cursor.Offset), SEEK_SET) >= 0;
+  if (ReadOk)
+    ReadOk = readWholeFd(Fd, Image);
+  int ReadErrno = errno;
   flockRetry(LockFd, LOCK_UN);
   if (LockFd >= 0)
     ::close(LockFd);
   ::close(Fd);
   if (!ReadOk)
     return Expected<RecordLogScan>::error("cannot read " + Path + ": " +
-                                          std::strerror(errno));
-  Expected<RecordLogScan> Scan = parseImage(Image);
-  if (!Scan.ok())
-    return Expected<RecordLogScan>::error(Path + ": " + Scan.message());
+                                          std::strerror(ReadErrno));
+  Expected<RecordLogScan> Scan = RecordLogScan{};
+  if (Resume) {
+    Scan->Restarted = false;
+    parseFrames(Image, Cursor.Offset, *Scan);
+  } else {
+    Scan = parseImage(Image);
+    if (!Scan.ok())
+      return Expected<RecordLogScan>::error(Path + ": " + Scan.message());
+  }
+  Cursor = {static_cast<uint64_t>(St.st_dev), static_cast<uint64_t>(St.st_ino),
+            Scan->GoodBytes};
   return Scan;
 }
 

@@ -73,6 +73,18 @@ struct RecordLogScan {
   /// Byte offset of the damage when TornTail; human-readable reason in Why.
   uint64_t TornOffset = 0;
   std::string Why;
+  /// Set by scanFrom when it read the file from its header (Records then
+  /// holds every record, Header the header payload) rather than resuming
+  /// at the cursor (Records holds only the new ones, Header is empty).
+  bool Restarted = true;
+};
+
+/// Where an incremental reader (RecordLog::scanFrom) stopped: the identity
+/// of the file it read and the offset one past the last intact record.
+struct RecordLogCursor {
+  uint64_t Dev = 0;
+  uint64_t Ino = 0;
+  uint64_t Offset = 0; ///< 0 = nothing read yet
 };
 
 /// Options for opening a RecordLog writer.
@@ -134,6 +146,15 @@ public:
   /// Reads and verifies \p Path without opening it for writing, under the
   /// shared lock. A missing file yields an empty scan. Never truncates.
   static Expected<RecordLogScan> scan(const std::string &Path);
+
+  /// scan(), resumed: reads and CRC-checks only the bytes appended after
+  /// \p Cursor and advances it past the last intact record. The file is
+  /// read from its header again (Restarted) when the cursor is fresh, when
+  /// the path names another inode (a compaction renamed a new file over
+  /// it), or when the file is shorter than the cursor (an open amputated a
+  /// damaged tail).
+  static Expected<RecordLogScan> scanFrom(const std::string &Path,
+                                          RecordLogCursor &Cursor);
 
   /// Encodes one record frame (length + CRC + payload), exposed for tests
   /// that construct corrupt files byte by byte.

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/support/Posix.h"
+#include "tests/helpers/AlarmStorm.h"
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include <cstring>
 #include <fcntl.h>
 #include <string>
-#include <sys/time.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -28,38 +28,8 @@
 namespace locus {
 namespace {
 
-volatile sig_atomic_t AlarmHits = 0;
-
-void onAlarm(int) { AlarmHits = AlarmHits + 1; }
-
-/// RAII signal storm: SIGALRM every 2 ms, handler installed with
-/// sa_flags = 0 so interrupted syscalls really do return EINTR instead of
-/// being restarted by the kernel.
-class AlarmStorm {
-public:
-  AlarmStorm() {
-    AlarmHits = 0;
-    struct sigaction SA;
-    std::memset(&SA, 0, sizeof(SA));
-    SA.sa_handler = onAlarm;
-    sigemptyset(&SA.sa_mask);
-    SA.sa_flags = 0; // no SA_RESTART: this is the whole point
-    sigaction(SIGALRM, &SA, &Old);
-    struct itimerval Timer;
-    Timer.it_interval.tv_sec = 0;
-    Timer.it_interval.tv_usec = 2000;
-    Timer.it_value = Timer.it_interval;
-    setitimer(ITIMER_REAL, &Timer, &OldTimer);
-  }
-  ~AlarmStorm() {
-    setitimer(ITIMER_REAL, &OldTimer, nullptr);
-    sigaction(SIGALRM, &Old, nullptr);
-  }
-
-private:
-  struct sigaction Old;
-  struct itimerval OldTimer;
-};
+using test::AlarmHits;
+using test::AlarmStorm;
 
 TEST(PosixRetry, ReadSurvivesSignalStorm) {
   int Fds[2];

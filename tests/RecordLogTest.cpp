@@ -20,6 +20,7 @@
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <thread>
+#include <unistd.h>
 
 namespace locus {
 namespace {
@@ -298,6 +299,101 @@ TEST(RecordLog, SecondWriterSeesCompactedFile) {
   ASSERT_EQ(Scan->Records.size(), 2u);
   EXPECT_EQ(Scan->Records[0], "compacted");
   EXPECT_EQ(Scan->Records[1], "b-after-compaction");
+}
+
+TEST(RecordLog, ScanFromReadsOnlyWhatWasAppendedSinceTheCursor) {
+  LogFixture F;
+  RecordLogOptions Opts;
+  Opts.Header = "h";
+  auto Log = RecordLog::open(F.Path, Opts);
+  ASSERT_TRUE(Log.ok());
+  ASSERT_TRUE(Log->append("r0").ok());
+  ASSERT_TRUE(Log->append("r1").ok());
+
+  support::RecordLogCursor Cursor;
+  auto First = RecordLog::scanFrom(F.Path, Cursor);
+  ASSERT_TRUE(First.ok()) << First.message();
+  EXPECT_TRUE(First->Restarted); // a fresh cursor reads from the header
+  EXPECT_EQ(First->Header, "h");
+  ASSERT_EQ(First->Records.size(), 2u);
+  EXPECT_EQ(Cursor.Offset, readFile(F.Path).size());
+
+  ASSERT_TRUE(Log->append("r2").ok());
+  ASSERT_TRUE(Log->append("r3").ok());
+  auto Next = RecordLog::scanFrom(F.Path, Cursor);
+  ASSERT_TRUE(Next.ok()) << Next.message();
+  EXPECT_FALSE(Next->Restarted);
+  ASSERT_EQ(Next->Records.size(), 2u);
+  EXPECT_EQ(Next->Records[0], "r2");
+  EXPECT_EQ(Next->Records[1], "r3");
+  EXPECT_EQ(Cursor.Offset, readFile(F.Path).size());
+
+  auto Nothing = RecordLog::scanFrom(F.Path, Cursor);
+  ASSERT_TRUE(Nothing.ok());
+  EXPECT_FALSE(Nothing->Restarted);
+  EXPECT_TRUE(Nothing->Records.empty());
+
+  // A half-written frame stops the resumed read where a full scan stops;
+  // once an open amputates it, the cursor resumes at the same record.
+  std::string Frame = RecordLog::encodeFrame("torn");
+  std::ofstream(F.Path, std::ios::binary | std::ios::app)
+      << Frame.substr(0, Frame.size() / 2);
+  uint64_t Before = Cursor.Offset;
+  auto Torn = RecordLog::scanFrom(F.Path, Cursor);
+  ASSERT_TRUE(Torn.ok());
+  EXPECT_TRUE(Torn->TornTail);
+  EXPECT_EQ(Torn->TornOffset, Before);
+  EXPECT_TRUE(Torn->Records.empty());
+  EXPECT_EQ(Cursor.Offset, Before);
+  Log->close();
+  auto Reopened = RecordLog::open(F.Path, Opts);
+  ASSERT_TRUE(Reopened.ok()) << Reopened.message();
+  ASSERT_TRUE(Reopened->append("r4").ok());
+  auto After = RecordLog::scanFrom(F.Path, Cursor);
+  ASSERT_TRUE(After.ok());
+  EXPECT_FALSE(After->Restarted);
+  ASSERT_EQ(After->Records.size(), 1u);
+  EXPECT_EQ(After->Records[0], "r4");
+}
+
+TEST(RecordLog, ScanFromRestartsOnAReplacedOrShortenedFile) {
+  LogFixture F;
+  RecordLogOptions Opts;
+  Opts.Header = "h";
+  auto Log = RecordLog::open(F.Path, Opts);
+  ASSERT_TRUE(Log.ok());
+  for (int I = 0; I < 4; ++I)
+    ASSERT_TRUE(Log->append("record " + std::to_string(I)).ok());
+  support::RecordLogCursor Cursor;
+  ASSERT_TRUE(RecordLog::scanFrom(F.Path, Cursor).ok());
+
+  // Compaction renames a new inode over the path: read it from the start.
+  ASSERT_TRUE(Log->compact({"kept-a", "kept-b"}).ok());
+  auto Compacted = RecordLog::scanFrom(F.Path, Cursor);
+  ASSERT_TRUE(Compacted.ok()) << Compacted.message();
+  EXPECT_TRUE(Compacted->Restarted);
+  EXPECT_EQ(Compacted->Header, "h");
+  ASSERT_EQ(Compacted->Records.size(), 2u);
+  EXPECT_EQ(Compacted->Records[0], "kept-a");
+
+  // Same inode, but shorter than the cursor (an open amputated damage the
+  // reader had already passed): read it from the start too.
+  ASSERT_TRUE(Log->append("kept-c").ok());
+  ASSERT_TRUE(RecordLog::scanFrom(F.Path, Cursor).ok());
+  uint64_t Size = readFile(F.Path).size();
+  ASSERT_EQ(::truncate(F.Path.c_str(), static_cast<off_t>(Size - 1)), 0);
+  auto Shortened = RecordLog::scanFrom(F.Path, Cursor);
+  ASSERT_TRUE(Shortened.ok()) << Shortened.message();
+  EXPECT_TRUE(Shortened->Restarted);
+  ASSERT_EQ(Shortened->Records.size(), 2u);
+  EXPECT_TRUE(Shortened->TornTail);
+
+  // A removed file reads as empty and forgets the cursor.
+  ASSERT_EQ(::unlink(F.Path.c_str()), 0);
+  auto Missing = RecordLog::scanFrom(F.Path, Cursor);
+  ASSERT_TRUE(Missing.ok());
+  EXPECT_TRUE(Missing->Records.empty());
+  EXPECT_EQ(Cursor.Offset, 0u);
 }
 
 TEST(RecordLog, ConcurrentAppendersNeverTearFrames) {

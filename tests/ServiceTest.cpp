@@ -376,6 +376,64 @@ TEST(TaskQueueDurability, CompactDropShutdownRevivesACompletedQueue) {
   EXPECT_EQ(S2.find(1)->Out.Metric, 3.0);
 }
 
+/// Every field of a folded state, for comparing two folds.
+std::string describeState(const QueueState &S) {
+  std::ostringstream Os;
+  Os << "shutdown=" << S.ShutdownSeen << " stale=" << S.StaleResultsDiscarded
+     << " applied=" << S.AppliedRecords << "\n";
+  for (const auto &[Id, T] : S.Tasks)
+    Os << Id << " point=" << T.PointText << " digest=" << T.Digest
+       << " epoch=" << T.Epoch << " lease=" << T.LeaseWorker
+       << " done=" << T.Done << " quarantined=" << T.Quarantined
+       << " metric=" << T.Out.Metric
+       << " failure=" << static_cast<int>(T.Out.Failure)
+       << " detail=" << T.Out.Detail << " by=" << T.DoneWorker
+       << " stale=" << T.StaleResults << "\n";
+  return Os.str();
+}
+
+TEST(TaskQueueDurability, IncrementalPollFoldsLikeOneFreshFold) {
+  support::TempDir Dir("locus-queue-");
+  ASSERT_TRUE(Dir.valid());
+  TaskQueueOptions Opts;
+  Opts.Dir = Dir.path();
+  Opts.Header = support::RunHeader{5, 6};
+  auto Q = TaskQueue::open(Opts);
+  ASSERT_TRUE(Q.ok()) << Q.message();
+
+  // N appends, a poll, M appends, another poll.
+  QueueState Incremental;
+  ASSERT_TRUE(Q->announceTask(1, "a = i:8\n", 1).ok());
+  ASSERT_TRUE(Q->announceTask(2, "a = i:16\n", 2).ok());
+  ASSERT_TRUE(Q->claim(1, 0, "w1").ok());
+  auto First = Q->poll(Incremental);
+  ASSERT_TRUE(First.ok()) << First.message();
+  EXPECT_EQ(*First, 3u);
+  ASSERT_TRUE(Q->claim(1, 0, "w2").ok()); // lost the race
+  ASSERT_TRUE(Q->postResult(1, 0, "w1", search::EvalOutcome::success(7)).ok());
+  ASSERT_TRUE(Q->claim(2, 0, "w2").ok());
+  ASSERT_TRUE(Q->expire(2, 0).ok());
+  ASSERT_TRUE(Q->postResult(2, 0, "w2", search::EvalOutcome::success(9)).ok());
+  ASSERT_TRUE(Q->announceTask(3, "a = i:32\n", 3).ok());
+  ASSERT_TRUE(Q->quarantine(3, "poison").ok());
+  auto Second = Q->poll(Incremental);
+  ASSERT_TRUE(Second.ok()) << Second.message();
+  EXPECT_EQ(*Second, 7u);
+
+  QueueState Fresh;
+  ASSERT_TRUE(Q->poll(Fresh).ok());
+  EXPECT_EQ(describeState(Incremental), describeState(Fresh));
+  EXPECT_EQ(Incremental.Cursor.Offset, Fresh.Cursor.Offset);
+
+  // Compaction renames a new, shorter log over the path; a fresh state
+  // folds the compacted file, shutdown record dropped.
+  ASSERT_TRUE(Q->announceShutdown().ok());
+  ASSERT_TRUE(Q->compactDropShutdown().ok());
+  QueueState AfterCompaction;
+  ASSERT_TRUE(Q->poll(AfterCompaction).ok());
+  EXPECT_EQ(describeState(AfterCompaction), describeState(Fresh));
+}
+
 //===----------------------------------------------------------------------===//
 // Coordinator + worker integration (in-process worker threads)
 //===----------------------------------------------------------------------===//
@@ -458,7 +516,11 @@ TEST(Coordinator, SecondCoordinatorOnTheSameQueueDirIsRefused) {
 
 /// Serves three assessments through one in-process worker named \p WorkerId
 /// and checks that the worker, not the fallback, evaluated all of them.
-void serveThroughThreadWorker(const std::string &WorkerId) {
+/// Both sides use \p PollSeconds; \p ServedSeconds (when given) receives
+/// the time the three assessments took.
+void serveThroughThreadWorker(const std::string &WorkerId,
+                              double PollSeconds = 0.005,
+                              double *ServedSeconds = nullptr) {
   support::TempDir Dir("locus-svc-");
   ASSERT_TRUE(Dir.valid());
   search::Space S = twoParamSpace();
@@ -467,9 +529,9 @@ void serveThroughThreadWorker(const std::string &WorkerId) {
   Opts.QueueDir = Dir.path();
   Opts.SpaceFingerprint = S.fingerprint();
   Opts.ConfigDigest = 42;
-  Opts.PollSeconds = 0.005;
-  Opts.LeaseTimeoutSeconds = 20;   // nothing should expire here
-  Opts.DegradeGraceSeconds = 20;   // nor degrade
+  Opts.PollSeconds = PollSeconds;
+  Opts.LeaseTimeoutSeconds = 60;   // nothing should expire here
+  Opts.DegradeGraceSeconds = 60;   // nor degrade
   auto C = Coordinator::start(Opts);
   ASSERT_TRUE(C.ok()) << C.message();
 
@@ -480,18 +542,23 @@ void serveThroughThreadWorker(const std::string &WorkerId) {
   WOpts.WorkerId = WorkerId;
   WOpts.SpaceFingerprint = S.fingerprint();
   WOpts.HeartbeatSeconds = 0.05;
-  WOpts.PollSeconds = 0.005;
+  WOpts.PollSeconds = PollSeconds;
   Expected<WorkerStats> WR = Expected<WorkerStats>::error("never ran");
   std::thread Worker([&] { WR = runWorker(S, Obj, WOpts); });
 
   CountingFallback Fallback;
   std::vector<search::Point> Points = {makePoint(8, 3), makePoint(16, 0),
                                        makePoint(4, 15)};
+  auto T0 = std::chrono::steady_clock::now();
   for (const search::Point &P : Points) {
     search::EvalOutcome Out = (*C)->assess(P, Fallback);
     EXPECT_TRUE(Out.ok());
     EXPECT_EQ(Out.Metric, toyAssess(P).Metric);
   }
+  if (ServedSeconds)
+    *ServedSeconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - T0)
+                         .count();
   EXPECT_EQ(Fallback.Calls.load(), 0);
 
   (*C)->shutdown(); // the shutdown record retires the worker loop
@@ -515,6 +582,21 @@ TEST(Coordinator, WorkerIdWithASpaceWinsItsClaims) {
   // The lease holder is stored verbatim, so the worker recognizes its own
   // lease when it re-folds the queue.
   serveThroughThreadWorker("a b");
+}
+
+TEST(Coordinator, ServedTasksDoNotWaitForThePollPeriod) {
+  // Each side wakes on the other's appends, so a 5 s poll period is only
+  // the fallback: neither the worker's idle wait nor the coordinator's
+  // supervision wait may hold a task back.
+  auto T0 = std::chrono::steady_clock::now();
+  double Served = 1e9;
+  serveThroughThreadWorker("patient-worker", 5.0, &Served);
+  double Total = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - T0)
+                     .count();
+  EXPECT_LT(Served, 2.0);
+  // Shutdown too: its own record wakes the supervisor and the worker.
+  EXPECT_LT(Total, 2.0);
 }
 
 TEST(Coordinator, RecoveredResultsAreServedWithoutReEvaluation) {
